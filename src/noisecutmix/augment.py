@@ -92,35 +92,35 @@ def mixup_pair(
 
 
 def apply_policy(
-    batch: list[tuple[np.ndarray, np.ndarray]],
+    batch: tuple[np.ndarray, np.ndarray],
     policy: AugmentPolicy,
     rng: np.random.Generator,
     trace: list | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Apply the mixing policy to a batch with the configured probability.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the mixing policy to a batch (images (N, H, W), labels (N, K))
+    with the configured probability.
 
-    The gate is drawn once per batch. When it fires, a random
-    permutation assigns each element a partner and each pair is mixed
-    with its own ratio draw. trace, if given, collects
+    The gate is drawn once per batch; when it does not fire, the batch
+    object itself is returned. When it fires, a random permutation
+    assigns each element a partner and each pair is mixed with its own
+    ratio draw into new arrays. trace, if given, collects
     (index, partner, lambda) triples for replay-style verification.
     """
     if policy.kind == "none":
         return batch
-    if len(batch) < 2:
+    images, labels = batch
+    if len(images) < 2:
         raise ValueError("active policies need a batch of at least 2")
     if rng.random() >= policy.probability:
         return batch
-    perm = rng.permutation(len(batch))
-    out = []
-    for i, (img, label) in enumerate(batch):
-        j = int(perm[i])
-        img_b, label_b = batch[j]
+    perm = rng.permutation(len(images))
+    mix = cutmix_pair if policy.kind == "cutmix" else mixup_pair
+    out_images, out_labels = np.empty(images.shape), np.empty(labels.shape)
+    for i, j in enumerate(perm.tolist()):
         lam = sample_lambda(policy.alpha, rng)
-        if policy.kind == "cutmix":
-            mixed = cutmix_pair(img, label, img_b, label_b, policy.alpha, rng, force_lambda=lam)
-        else:
-            mixed = mixup_pair(img, label, img_b, label_b, policy.alpha, rng, force_lambda=lam)
+        out_images[i], out_labels[i] = mix(
+            images[i], labels[i], images[j], labels[j], policy.alpha, rng, force_lambda=lam
+        )
         if trace is not None:
             trace.append((i, j, lam))
-        out.append(mixed)
-    return out
+    return out_images, out_labels

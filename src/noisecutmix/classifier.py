@@ -86,12 +86,6 @@ def soft_ce_loss(logits: np.ndarray, target: np.ndarray) -> float:
     return float(lse - np.dot(target, logits))
 
 
-def _stack(batch: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([img.reshape(-1) for img, _ in batch])
-    y = np.stack([label for _, label in batch])
-    return x, y
-
-
 def _loss_and_grads(model: MlpClassifier, x: np.ndarray, y: np.ndarray):
     """Mean soft-CE loss over the batch and its exact parameter gradient."""
     n = x.shape[0]
@@ -114,10 +108,9 @@ def _loss_and_grads(model: MlpClassifier, x: np.ndarray, y: np.ndarray):
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
-def gradient(model: MlpClassifier, batch: list[tuple[np.ndarray, np.ndarray]]) -> dict:
+def gradient(model: MlpClassifier, images: np.ndarray, labels: np.ndarray) -> dict:
     """Exact gradient of the mean soft-CE loss over the batch, by parameter name."""
-    x, y = _stack(batch)
-    _, grads = _loss_and_grads(model, x, y)
+    _, grads = _loss_and_grads(model, images.reshape(len(images), -1), labels)
     return grads
 
 
@@ -144,31 +137,27 @@ class _Adam:
 
 
 def validation_split(
-    n: int, synthetic: list[bool], val_fraction: float, rng: np.random.Generator
-) -> tuple[list[int], list[int]]:
-    """(train indices, val indices): the validation fraction is drawn from
-    the real samples only; synthetic samples always land in training."""
-    real_idx = np.array([i for i in range(n) if not synthetic[i]])
+    synthetic: np.ndarray, val_fraction: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending (train indices, val indices): the validation fraction is drawn
+    from the real samples only; synthetic samples always land in training."""
+    real_idx = np.flatnonzero(~synthetic)
     if real_idx.size < 2:
         raise ValueError("need at least 2 real samples for the validation split")
     order = real_idx[rng.permutation(real_idx.size)]
     n_val = int(round(val_fraction * real_idx.size))
     n_val = max(1, min(n_val, real_idx.size - 1))
-    val_idx = sorted(order[:n_val].tolist())
-    assert not any(synthetic[i] for i in val_idx), "synthetic sample leaked into validation"
-    val_set = set(val_idx)
-    train_idx = [i for i in range(n) if i not in val_set]
-    return train_idx, val_idx
+    val_idx = np.sort(order[:n_val])
+    assert not synthetic[val_idx].any(), "synthetic sample leaked into validation"
+    return np.setdiff1d(np.arange(synthetic.size), val_idx), val_idx
 
 
-def evaluate(model: MlpClassifier, testset: list[tuple[np.ndarray, int]]) -> float:
-    """Top-1 accuracy; argmax ties break toward the lowest class index."""
-    if not testset:
+def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) -> float:
+    """Top-1 accuracy against class ids; argmax ties break toward the lowest class index."""
+    if len(images) == 0:
         raise ValueError("testset must not be empty")
-    x = np.stack([img.reshape(-1) for img, _ in testset])
-    truth = np.array([c for _, c in testset])
-    pred = np.argmax(model.logits(x), axis=1)
-    return float(np.mean(pred == truth))
+    pred = np.argmax(model.logits(images.reshape(len(images), -1)), axis=1)
+    return float(np.mean(pred == class_ids))
 
 
 @dataclass
@@ -179,12 +168,14 @@ class EpochStats:
 
 
 def train(
-    dataset: list[tuple[np.ndarray, np.ndarray]],
+    images: np.ndarray,
+    labels: np.ndarray,
     cfg: TrainConfig,
     policy: AugmentPolicy | None = None,
-    synthetic: list[bool] | None = None,
+    synthetic: np.ndarray | None = None,
 ) -> tuple[MlpClassifier, list[EpochStats]]:
-    """Train with a real-only validation split and best-epoch selection.
+    """Train on images (N, H, W) with soft labels (N, K), with a real-only
+    validation split and best-epoch selection.
 
     The validation fraction is drawn from the real samples only (by
     seeded shuffle); synthetic samples always train. Validation is
@@ -194,29 +185,26 @@ def train(
     """
     if policy is None:
         policy = AugmentPolicy(kind="none")
-    if len(dataset) < 10:
+    n = len(images)
+    if n < 10:
         raise ValueError("dataset must have at least 10 samples")
     if synthetic is None:
-        synthetic = [False] * len(dataset)
-    if len(synthetic) != len(dataset):
-        raise ValueError("synthetic flags must match dataset length")
+        synthetic = np.zeros(n, dtype=bool)
+    if len(labels) != n or len(synthetic) != n:
+        raise ValueError("labels and synthetic flags must match the number of images")
 
-    labels_hard = np.array([int(np.argmax(label)) for _, label in dataset])
+    labels_hard = np.argmax(labels, axis=1)
     classes = np.unique(labels_hard)
     if classes.size < 2:
         raise ValueError("dataset must contain at least 2 classes")
-    num_classes = dataset[0][1].shape[0]
-    in_dim = dataset[0][0].size
 
     split_rng = child_rng(cfg.seed, _SPLIT_STREAM)
-    train_idx, val_idx = validation_split(len(dataset), synthetic, cfg.val_fraction, split_rng)
-    train_classes = np.unique(labels_hard[train_idx])
-    missing = set(classes.tolist()) - set(train_classes.tolist())
-    if missing:
-        raise ValueError(f"classes {sorted(missing)} empty after validation split")
-    val_set = [(dataset[i][0], int(labels_hard[i])) for i in val_idx]
+    train_idx, val_idx = validation_split(synthetic, cfg.val_fraction, split_rng)
+    missing = np.setdiff1d(classes, labels_hard[train_idx])
+    if missing.size:
+        raise ValueError(f"classes {missing.tolist()} empty after validation split")
 
-    model = init_classifier(in_dim, cfg.hidden, num_classes, cfg.seed)
+    model = init_classifier(images[0].size, cfg.hidden, labels.shape[1], cfg.seed)
     history: list[EpochStats] = []
     if cfg.epochs == 0:
         return model, history
@@ -228,20 +216,19 @@ def train(
     best_model = None
 
     for epoch in range(cfg.epochs):
-        perm = epoch_rng.permutation(len(train_idx))
+        order = train_idx[epoch_rng.permutation(len(train_idx))]
         loss_sum = 0.0
-        for start in range(0, len(train_idx), cfg.batch_size):
-            chunk = [train_idx[int(p)] for p in perm[start : start + cfg.batch_size]]
-            pairs = [dataset[i] for i in chunk]
-            if policy.kind != "none" and len(pairs) >= 2:
-                pairs = apply_policy(pairs, policy, policy_rng)
-            x, y = _stack(pairs)
-            loss, grads = _loss_and_grads(model, x, y)
+        for start in range(0, len(order), cfg.batch_size):
+            chunk = order[start : start + cfg.batch_size]
+            x, y = images[chunk], labels[chunk]
+            if policy.kind != "none" and len(chunk) >= 2:
+                x, y = apply_policy((x, y), policy, policy_rng)
+            loss, grads = _loss_and_grads(model, x.reshape(len(x), -1), y)
             if not np.isfinite(loss):
                 raise NumericalDivergence(f"non-finite training loss at epoch {epoch}")
             adam.step(model, grads)
-            loss_sum += loss * len(pairs)
-        val_acc = evaluate(model, val_set)
+            loss_sum += loss * len(chunk)
+        val_acc = evaluate(model, images[val_idx], labels_hard[val_idx])
         history.append(EpochStats(epoch, loss_sum / len(train_idx), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc

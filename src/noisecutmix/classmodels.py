@@ -72,13 +72,14 @@ def make_bump_dataset(
     noise_var: float,
     seed: int,
     n_per_class: int,
-) -> tuple[list[ClassModel], list[tuple[np.ndarray, int]]]:
+) -> tuple[list[ClassModel], tuple[np.ndarray, np.ndarray]]:
     """Build class models with Gaussian-bump means and draw exact samples.
 
     Class c's mean is a unit-amplitude Gaussian bump of spatial width
     bump_sigma centered at its lattice point; covariance is uniform
     diagonal noise_var. Samples are exact draws from each class model,
-    class-major, reproducible from the seed.
+    class-major, reproducible from the seed, returned as
+    (images (N, H, W), class ids (N,)) with N = num_classes * n_per_class.
     """
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -103,13 +104,11 @@ def make_bump_dataset(
         models.append(ClassModel(class_id=c, mean=mean, var=var, weight=1.0 / num_classes))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
-    samples = []
-    std = math.sqrt(noise_var)
-    for model in models:
-        draws = model.mean + std * rng.standard_normal((n_per_class, height, width))
-        for i in range(n_per_class):
-            samples.append((draws[i], model.class_id))
-    return models, samples
+    images = rng.standard_normal((num_classes, n_per_class, height, width))
+    images *= math.sqrt(noise_var)
+    images += np.stack([m.mean for m in models])[:, None]
+    class_ids = np.repeat(np.arange(num_classes), n_per_class)
+    return models, (images.reshape(-1, height, width), class_ids)
 
 
 def _step_params(t: int, sched: Schedule, models: list[ClassModel]):

@@ -24,6 +24,7 @@ from .harness import (
     format_result_table,
     generate_records,
     parse_result_table,
+    record_arrays,
     run_experiment,
 )
 from .recordio import (
@@ -43,29 +44,15 @@ def _load_cfg(path: str | None) -> ExperimentConfig:
     return load_config(path) if path else ExperimentConfig()
 
 
-def _records_from_arrays(images: np.ndarray, labels: np.ndarray) -> list[GenRecord]:
-    from .samplers import Provenance
-
-    out = []
-    for img, label in zip(images, labels):
-        prov = Provenance(
-            method="offline", class_a=int(np.argmax(label)), class_b=None,
-            lambda_sampled=None, lambda_real=1.0, rect=None, seed=0,
-            sampler="-", steps=0, guidance=0.0, alpha=None,
-        )
-        out.append(GenRecord(image=img, label=label, provenance=prov))
-    return out
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args.config)
-    if args.method not in ("gen_random", "noisecutmix"):
-        raise ConfigError("generate supports methods: gen_random, noisecutmix")
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")
     models = build_models(cfg)
     sched = make_cosine_schedule(cfg.schedule_steps)
     seed = cfg.master_seed if args.seed is None else args.seed
     records = generate_records(args.method, cfg, models, sched, args.count, seed)
-    write_records(f"{args.out}.records", records)
+    write_records(f"{args.out}.records", *record_arrays(records))
     write_provenance(f"{args.out}.prov", records)
     if args.pgm:
         export_grid(records, f"{args.out}.pgm")
@@ -74,22 +61,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    images, labels = read_records(args.input)
     policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
-    rng = child_rng(args.seed, 0)
-    batch = [(images[i], labels[i]) for i in range(len(images))]
-    batch = apply_policy(batch, policy, rng)
-    write_records(args.out, _records_from_arrays(
-        np.stack([b[0] for b in batch]), np.stack([b[1] for b in batch])
-    ))
-    print(f"wrote {len(batch)} augmented records to {args.out}")
+    images, labels = apply_policy(read_records(args.input), policy, child_rng(args.seed, 0))
+    write_records(args.out, images, labels)
+    print(f"wrote {len(images)} augmented records to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     images, labels = read_records(args.input)
-    dataset = [(images[i], labels[i]) for i in range(len(images))]
     policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size,
@@ -99,7 +80,7 @@ def _cmd_train(args) -> int:
         hidden=cfg.hidden_units,
         seed=cfg.master_seed if args.seed is None else args.seed,
     )
-    model, history = train(dataset, train_cfg, policy)
+    model, history = train(images, labels, train_cfg, policy)
     save_classifier(args.model_out, model)
     if args.history_out:
         write_history(args.history_out, history)
@@ -111,8 +92,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_classifier(args.model)
     images, labels = read_records(args.input)
-    testset = [(images[i], int(np.argmax(labels[i]))) for i in range(len(images))]
-    acc = evaluate(model, testset)
+    acc = evaluate(model, images, np.argmax(labels, axis=1))
     print(f"accuracy {acc:.6f}")
     return 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -25,6 +25,9 @@ METHODS = (
 )
 
 OUTPUT_DIR_ENV = "NOISECUTMIX_OUTDIR"
+
+# JSON value types a numeric field accepts; bool, an int subclass, never
+_NUMBER_TYPES = {"int": int, "float": (int, float)}
 
 
 @dataclass
@@ -61,6 +64,18 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = _NUMBER_TYPES.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.num_classes < 2:
+            raise ConfigError("num_classes must be >= 2")
+        for name in ("cutmix_alpha", "mixup_alpha", "noisemix_alpha"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0")
+        if not self.guidance_scale >= 0.0:
+            raise ConfigError("guidance_scale must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.augment_ratio < 0.0:
@@ -76,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(METHODS)}")
         if not self.methods:
             raise ConfigError("method list must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"duplicate methods in {self.methods}")
 
     def resolved_output_dir(self, override: str | None = None) -> Path:
         if override:

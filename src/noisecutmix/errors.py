@@ -6,4 +6,4 @@ class ConfigError(ValueError):
 
 
 class NumericalDivergence(RuntimeError):
-    """Non-finite value encountered during optimization (exit code 4)."""
+    """Non-finite value encountered during sampling or optimization (exit code 4)."""

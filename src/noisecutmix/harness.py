@@ -17,7 +17,7 @@ from .augment import AugmentPolicy
 from .classifier import TrainConfig, evaluate, train
 from .classmodels import ClassModel, make_bump_dataset
 from .config import METHODS, ExperimentConfig, dump_config
-from .mixing import mask_from_rect, one_hot
+from .mixing import mask_from_rect
 from .recordio import write_pgm, write_provenance, write_records
 from .samplers import (
     GenRecord,
@@ -70,9 +70,7 @@ class ResultTable:
 
 def build_models(cfg: ExperimentConfig) -> list[ClassModel]:
     """Class models implied by the config's dataset block (no samples)."""
-    models, _ = make_bump_dataset(
-        cfg.num_classes, cfg.width, cfg.height, cfg.bump_sigma, cfg.noise_var, seed=0, n_per_class=0
-    )
+    models, _ = _dataset(cfg, seed=0, n_per_class=0)
     return models
 
 
@@ -131,6 +129,11 @@ def generate_records(
     return records
 
 
+def record_arrays(records: list[GenRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(images (N, H, W), labels (N, K)) of generated records."""
+    return np.stack([r.image for r in records]), np.stack([r.label for r in records])
+
+
 def _method_policy(method: str, cfg: ExperimentConfig) -> AugmentPolicy:
     if method in ("cutmix", "gen_random+cutmix"):
         return AugmentPolicy("cutmix", cfg.cutmix_alpha, cfg.augment_probability)
@@ -140,25 +143,30 @@ def _method_policy(method: str, cfg: ExperimentConfig) -> AugmentPolicy:
 
 
 def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
-    """(pairs, synthetic flags, generated records) for one method and trial seed."""
+    """(images (N, H, W), labels (N, K), synthetic flags (N,), generated
+    records) for one method and trial seed; the real samples come first."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {list(METHODS)}")
-    models, train_samples = _dataset(cfg, derive_seed(seed, _TRAIN_DATA_STREAM), cfg.n_train_per_class)
-    pairs = [(grid, one_hot(c, cfg.num_classes)) for grid, c in train_samples]
-    flags = [False] * len(pairs)
+    models, (images, class_ids) = _dataset(
+        cfg, derive_seed(seed, _TRAIN_DATA_STREAM), cfg.n_train_per_class
+    )
+    labels = np.eye(cfg.num_classes)[class_ids]
+    n_real = len(images)
     records: list[GenRecord] = []
     if method in ("gen_random", "gen_random+cutmix", "gen_random+mixup", "noisecutmix"):
-        n_aug = int(round(cfg.augment_ratio * len(pairs)))
+        n_aug = int(round(cfg.augment_ratio * n_real))
         records = generate_records(method, cfg, models, sched, n_aug, seed)
-        pairs.extend((r.image, r.label) for r in records)
-        flags.extend([True] * len(records))
-    return pairs, flags, records
+    if records:
+        gen_images, gen_labels = record_arrays(records)
+        images = np.concatenate([images, gen_images])
+        labels = np.concatenate([labels, gen_labels])
+    return images, labels, np.arange(len(images)) >= n_real, records
 
 
 def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
     """Train one classifier under the method's protocol; returns
     (test accuracy, generated records)."""
-    pairs, flags, records = build_training_pool(method, cfg, sched, seed)
+    images, labels, synthetic, records = build_training_pool(method, cfg, sched, seed)
     policy = _method_policy(method, cfg)
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size,
@@ -168,9 +176,9 @@ def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
         hidden=cfg.hidden_units,
         seed=derive_seed(seed, _TRAIN_SEED_STREAM),
     )
-    model, _ = train(pairs, train_cfg, policy, flags)
-    _, test_samples = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
-    return evaluate(model, test_samples), records
+    model, _ = train(images, labels, train_cfg, policy, synthetic)
+    _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
+    return evaluate(model, *test_set), records
 
 
 def format_result_table(table: ResultTable) -> str:
@@ -264,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
             accs.append(acc)
             if records:
                 stem = f"{method}_t{i}"
-                write_records(out / f"{stem}.records", records)
+                write_records(out / f"{stem}.records", *record_arrays(records))
                 write_provenance(out / f"{stem}.prov", records)
                 if i == 0:
                     export_grid(records[: min(8, len(records))], out / f"{method}_montage.pgm")

@@ -7,6 +7,7 @@ header line, so files are byte-reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from .samplers import GenRecord, Provenance
 
 RECORD_MAGIC = "NCMREC1"
 MODEL_MAGIC = "NCMMLP1"
+# longest header line a record reader accepts: the magic and four integers
+_HEADER_MAX = 128
 
 
 def _fmt(value) -> str:
@@ -28,34 +31,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records(path: str | Path, records: list[GenRecord]) -> None:
+def write_records(path: str | Path, images: np.ndarray, labels: np.ndarray) -> None:
     """Flat binary matrix file: one header line (magic W H K count), then
-    count x (H*W image + K label) float64 little-endian."""
-    if not records:
-        raise ValueError("no records to write")
-    h, w = records[0].image.shape
-    k = records[0].label.shape[0]
+    images (count, H, W) beside labels (count, K) as one (count, H*W + K)
+    float64 little-endian matrix."""
+    count, h, w = images.shape
+    if min(images.shape + labels.shape) < 1:
+        raise ValueError(f"no records to write in shapes {images.shape} and {labels.shape}")
+    matrix = np.concatenate([images.reshape(count, h * w), labels], axis=1)
     with open(path, "wb") as f:
-        f.write(f"{RECORD_MAGIC} {w} {h} {k} {len(records)}\n".encode("ascii"))
-        for rec in records:
-            if rec.image.shape != (h, w) or rec.label.shape != (k,):
-                raise ValueError("inconsistent record shapes")
-            f.write(np.ascontiguousarray(rec.image, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(rec.label, dtype="<f8").tobytes())
+        f.write(f"{RECORD_MAGIC} {w} {h} {labels.shape[1]} {count}\n".encode("ascii"))
+        f.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
 def read_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (images (n, H, W), labels (n, K))."""
+    """Returns (images (count, H, W), labels (count, K)).
+
+    The header is checked against the file size before the payload is
+    read: a file with missing or trailing bytes is rejected.
+    """
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 5 or header[0] != RECORD_MAGIC:
+        line = f.readline(_HEADER_MAX)
+        header = line.decode("ascii").split()  # UnicodeDecodeError is a ValueError
+        if not line.endswith(b"\n") or len(header) != 5 or header[0] != RECORD_MAGIC:
             raise ValueError(f"not a record file: {path}")
         w, h, k, count = (int(v) for v in header[1:])
+        if count < 0 or min(w, h, k) < 1:
+            raise ValueError(f"bad record header W={w} H={h} K={k} count={count}: {path}")
         per = h * w + k
-        data = np.frombuffer(f.read(count * per * 8), dtype="<f8")
-    if data.size != count * per:
-        raise ValueError(f"truncated record file: {path}")
-    data = data.reshape(count, per)
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if payload != count * per * 8:
+            raise ValueError(f"{path}: {payload} payload bytes, the header needs {count * per * 8}")
+        data = np.frombuffer(f.read(payload), dtype="<f8").reshape(count, per)
     return data[:, : h * w].reshape(count, h, w).copy(), data[:, h * w :].copy()
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classmodels import ClassModel, grid_shape, num_classes, predict_noise
+from .errors import NumericalDivergence
 from .mixing import (
     MaskSpec,
     mask_from_rect,
@@ -163,9 +164,9 @@ def step_dpm_pp_2m(
         if t_prev is None or not (t_prev > t_curr):
             raise ValueError("previous data prediction requires t_prev > t_curr")
         if not np.all(np.isfinite(datapred_prev)):
-            raise ValueError("data predictions must be finite")
+            raise NumericalDivergence("data predictions must be finite")
     if not np.all(np.isfinite(datapred_curr)):
-        raise ValueError("data predictions must be finite")
+        raise NumericalDivergence("data predictions must be finite")
 
     if t_to == 0:
         return np.array(datapred_curr, dtype=np.float64, copy=True)

@@ -30,7 +30,7 @@ from noisecutmix import (
     sample_noisecutmix_batch,
     sample_single_batch,
 )
-from noisecutmix.classifier import _loss_and_grads, _stack, init_classifier
+from noisecutmix.classifier import _loss_and_grads, init_classifier
 from noisecutmix.harness import format_result_table, parse_result_table
 from noisecutmix.samplers import child_rng
 
@@ -231,8 +231,8 @@ def test_criterion_6_gradient_check():
     rng = np.random.default_rng(6)
     for trial in range(5):
         model = init_classifier(9, 6, 3, seed=trial + 50)
-        batch = [(rng.standard_normal((3, 3)), rng.dirichlet(np.ones(3))) for _ in range(5)]
-        x, y = _stack(batch)
+        batch = [(rng.standard_normal(9), rng.dirichlet(np.ones(3))) for _ in range(5)]
+        x, y = (np.stack(column) for column in zip(*batch))
         _, grads = _loss_and_grads(model, x, y)
         h = 1e-5
         for name in ("w1", "b1", "w2", "b2"):

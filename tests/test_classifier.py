@@ -15,7 +15,7 @@ from noisecutmix import (
     soft_ce_loss,
     train,
 )
-from noisecutmix.classifier import _loss_and_grads, _stack, validation_split
+from noisecutmix.classifier import _loss_and_grads, validation_split
 from noisecutmix.samplers import child_rng
 
 
@@ -58,7 +58,7 @@ def test_output_layer_gradient_closed_form():
     model = init_classifier(4, 3, 2, seed=0)
     img = np.random.default_rng(2).standard_normal((2, 2))
     target = one_hot(1, 2)
-    grads = gradient(model, [(img, target)])
+    grads = gradient(model, img[None], target[None])
     logits = model.logits(img.reshape(1, -1))[0]
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
@@ -71,8 +71,7 @@ def test_symmetric_units_get_equal_bias_gradients():
     b1 = np.full(4, 0.5)
     w2 = np.tile(np.array([[0.7], [-0.4]]), (1, 4))
     model = MlpClassifier(w1=w1, b1=b1, w2=w2, b2=np.zeros(2))
-    batch = [(np.zeros(3), np.array([0.5, 0.5])) for _ in range(4)]
-    grads = gradient(model, [(img.reshape(1, 3), y) for img, y in batch])
+    grads = gradient(model, np.zeros((4, 1, 3)), np.full((4, 2), 0.5))
     assert np.allclose(grads["b1"], grads["b1"][0], atol=1e-15)
 
 
@@ -100,8 +99,8 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     for trial in range(5):
         model = init_classifier(9, 6, 3, seed=trial)
-        batch = [(rng.standard_normal((3, 3)), rng.dirichlet(np.ones(3))) for _ in range(4)]
-        x, y = _stack(batch)
+        batch = [(rng.standard_normal(9), rng.dirichlet(np.ones(3))) for _ in range(4)]
+        x, y = (np.stack(column) for column in zip(*batch))
         _, grads = _loss_and_grads(model, x, y)
         ref = _fd_gradient(model, x, y)
         for name in grads:
@@ -113,20 +112,18 @@ def test_gradient_matches_finite_differences():
 
 
 def _separable_dataset(n_per_class=20, seed=4):
+    """(images (2n, 3, 3), one-hot labels (2n, 2)), class 0 first."""
     rng = np.random.default_rng(seed)
-    data = []
-    for c, offset in ((0, -3.0), (1, 3.0)):
-        for _ in range(n_per_class):
-            grid = rng.normal(loc=offset, scale=0.5, size=(3, 3))
-            data.append((grid, one_hot(c, 2)))
-    return data
+    images = np.concatenate([
+        rng.normal(loc=offset, scale=0.5, size=(n_per_class, 3, 3)) for offset in (-3.0, 3.0)
+    ])
+    return images, np.eye(2)[np.repeat([0, 1], n_per_class)]
 
 
-def _perceptron_separable(data, max_iter=2000):
+def _perceptron_separable(images, labels, max_iter=2000):
     # oracle: the perceptron converges iff the set is linearly separable
-    x = np.stack([g.reshape(-1) for g, _ in data])
-    x = np.hstack([x, np.ones((len(data), 1))])
-    y = np.array([1.0 if np.argmax(l) == 1 else -1.0 for _, l in data])
+    x = np.hstack([images.reshape(len(images), -1), np.ones((len(images), 1))])
+    y = np.where(np.argmax(labels, axis=1) == 1, 1.0, -1.0)
     w = np.zeros(x.shape[1])
     for _ in range(max_iter):
         wrong = np.where(y * (x @ w) <= 0)[0]
@@ -137,18 +134,17 @@ def _perceptron_separable(data, max_iter=2000):
 
 
 def test_train_fits_separable_data():
-    data = _separable_dataset()
-    assert _perceptron_separable(data)
+    images, labels = _separable_dataset()
+    assert _perceptron_separable(images, labels)
     cfg = TrainConfig(batch_size=8, epochs=30, hidden=8, seed=0)
-    model, history = train(data, cfg)
-    train_acc = evaluate(model, [(g, int(np.argmax(l))) for g, l in data])
+    model, history = train(images, labels, cfg)
+    train_acc = evaluate(model, images, np.argmax(labels, axis=1))
     assert train_acc == 1.0
     assert len(history) == 30
 
 
 def test_train_zero_epochs():
-    data = _separable_dataset()
-    model, history = train(data, TrainConfig(epochs=0, hidden=4, seed=1))
+    model, history = train(*_separable_dataset(), TrainConfig(epochs=0, hidden=4, seed=1))
     fresh = init_classifier(9, 4, 2, seed=1)
     assert np.array_equal(model.w1, fresh.w1)
     assert history == []
@@ -157,76 +153,69 @@ def test_train_zero_epochs():
 def test_train_deterministic():
     data = _separable_dataset()
     cfg = TrainConfig(batch_size=8, epochs=5, hidden=8, seed=3)
-    m1, h1 = train(data, cfg, AugmentPolicy("mixup", 0.2, 0.5))
-    m2, h2 = train(data, cfg, AugmentPolicy("mixup", 0.2, 0.5))
+    m1, h1 = train(*data, cfg, AugmentPolicy("mixup", 0.2, 0.5))
+    m2, h2 = train(*data, cfg, AugmentPolicy("mixup", 0.2, 0.5))
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(m1, name), getattr(m2, name))
     assert h1 == h2
 
 
 def test_best_epoch_selection():
-    data = _separable_dataset(n_per_class=15, seed=6)
+    images, labels = _separable_dataset(n_per_class=15, seed=6)
     cfg = TrainConfig(batch_size=4, epochs=12, hidden=6, seed=5)
-    model, history = train(data, cfg)
-    val = [(data[i][0], int(np.argmax(data[i][1]))) for i in _val_indices(data, cfg)]
+    model, history = train(images, labels, cfg)
+    real = np.zeros(len(images), dtype=bool)
+    _, val_idx = validation_split(real, cfg.val_fraction, child_rng(cfg.seed, 10))
     best = max(h.val_accuracy for h in history)
-    assert evaluate(model, val) == best
-
-
-def _val_indices(data, cfg):
-    rng = child_rng(cfg.seed, 10)
-    _, val_idx = validation_split(len(data), [False] * len(data), cfg.val_fraction, rng)
-    return val_idx
+    assert evaluate(model, images[val_idx], np.argmax(labels[val_idx], axis=1)) == best
 
 
 def test_validation_split_excludes_synthetic():
     rng = np.random.default_rng(8)
     for _ in range(25):
         n = int(rng.integers(10, 60))
-        synthetic = (rng.random(n) < 0.5).tolist()
-        if sum(not s for s in synthetic) < 2:
+        synthetic = rng.random(n) < 0.5
+        if np.count_nonzero(~synthetic) < 2:
             continue
-        train_idx, val_idx = validation_split(n, synthetic, 0.2, child_rng(int(rng.integers(1e6)), 0))
-        assert all(not synthetic[i] for i in val_idx)
-        assert sorted(train_idx + val_idx) == list(range(n))
+        train_idx, val_idx = validation_split(synthetic, 0.2, child_rng(int(rng.integers(1e6)), 0))
+        assert not synthetic[val_idx].any()
+        assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(n))
 
 
 def test_train_rejects_bad_datasets():
-    small = _separable_dataset(n_per_class=2)[:4]
+    images, labels = _separable_dataset(n_per_class=2)
     with pytest.raises(ValueError):
-        train(small, TrainConfig(epochs=1))
-    one_class = [(np.zeros((2, 2)), one_hot(0, 2)) for _ in range(12)]
+        train(images, labels, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
-        train(one_class, TrainConfig(epochs=1))
+        train(np.zeros((12, 2, 2)), np.tile(one_hot(0, 2), (12, 1)), TrainConfig(epochs=1))
 
 
 def test_train_raises_on_nonfinite_loss():
-    data = _separable_dataset()
-    data[0] = (np.full((3, 3), np.inf), data[0][1])
+    images, labels = _separable_dataset()
+    images[0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericalDivergence):
-        train(data, TrainConfig(batch_size=64, epochs=2, seed=0))
+        train(images, labels, TrainConfig(batch_size=64, epochs=2, seed=0))
 
 
 def test_evaluate_constant_model_hits_chance():
     model = MlpClassifier(
         w1=np.zeros((2, 4)), b1=np.zeros(2), w2=np.zeros((3, 2)), b2=np.array([1.0, 0.0, 0.0])
     )
-    testset = [(np.zeros((2, 2)), c) for c in (0, 1, 2) for _ in range(5)]
-    assert evaluate(model, testset) == pytest.approx(1.0 / 3.0)
+    assert evaluate(model, np.zeros((15, 2, 2)), np.repeat([0, 1, 2], 5)) == pytest.approx(1.0 / 3.0)
 
 
 def test_evaluate_single_correct_sample():
     model = MlpClassifier(
         w1=np.zeros((2, 4)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.array([0.0, 2.0])
     )
-    assert evaluate(model, [(np.zeros((2, 2)), 1)]) == 1.0
+    assert evaluate(model, np.zeros((1, 2, 2)), np.array([1])) == 1.0
 
 
 def test_evaluate_matches_recount():
     rng = np.random.default_rng(9)
     model = init_classifier(4, 5, 3, seed=2)
     testset = [(rng.standard_normal((2, 2)), int(rng.integers(3))) for _ in range(40)]
-    acc = evaluate(model, testset)
+    acc = evaluate(model, np.stack([g for g, _ in testset]), np.array([c for _, c in testset]))
     correct = 0
     for grid, c in testset:
         logits = model.logits(grid.reshape(1, -1))[0]
@@ -238,4 +227,4 @@ def test_evaluate_matches_recount():
 def test_evaluate_rejects_empty():
     model = init_classifier(4, 5, 3, seed=2)
     with pytest.raises(ValueError):
-        evaluate(model, [])
+        evaluate(model, np.zeros((0, 2, 2)), np.zeros(0, dtype=int))

@@ -64,16 +64,17 @@ def test_bump_dataset_rejects_too_many_classes():
 
 
 def test_bump_dataset_reproducible():
-    _, s1 = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
-    _, s2 = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
-    assert all(np.array_equal(a[0], b[0]) and a[1] == b[1] for a, b in zip(s1, s2))
+    _, (images1, ids1) = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
+    _, (images2, ids2) = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
+    assert images1.shape == (12, 8, 8)
+    assert np.array_equal(images1, images2) and np.array_equal(ids1, ids2)
 
 
 def test_bump_sample_mean_matches_model():
     n = 100_000
     noise_var = 0.25
-    models, samples = make_bump_dataset(2, 8, 8, 1.5, noise_var, seed=11, n_per_class=n)
-    class0 = np.stack([g for g, c in samples if c == 0])
+    models, (images, class_ids) = make_bump_dataset(2, 8, 8, 1.5, noise_var, seed=11, n_per_class=n)
+    class0 = images[class_ids == 0]
     assert class0.shape[0] == n
     tol = 3.0 * math.sqrt(noise_var / n)
     assert np.all(np.abs(class0.mean(axis=0) - models[0].mean) <= tol)

@@ -54,6 +54,13 @@ def test_generate_rejects_pixel_methods(cfg_path, tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_generate_rejects_empty_count(cfg_path, tmp_path):
+    out = tmp_path / "x"
+    assert main(["generate", "--config", str(cfg_path), "--method", "noisecutmix",
+                 "--count", "0", "--out", str(out)]) == 2
+    assert not (tmp_path / "x.records").exists()
+
+
 def test_augment_subcommand(tmp_path, cfg_path):
     src = tmp_path / "src"
     main(["generate", "--config", str(cfg_path), "--method", "gen_random",
@@ -106,6 +113,14 @@ def test_exit_code_invalid_config(tmp_path):
     assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bad_config_exits_before_writing(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"trials": 2.5}))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2
+    assert not (out / "config.json").exists()
+
+
 def test_exit_code_io_failure(tmp_path, cfg_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -118,22 +133,21 @@ def test_exit_code_missing_input(tmp_path):
                  "--input", str(tmp_path / "no.records")]) == 3
 
 
-def test_exit_code_numerical_failure(tmp_path, cfg_path):
-    import numpy as np
+def test_exit_code_malformed_records(tmp_path):
+    # a header count of 1e17 once escaped as OverflowError (exit 1)
+    data = tmp_path / "huge.records"
+    data.write_bytes(b"NCMREC1 2 2 1 100000000000000000\n" + bytes(40))
+    assert main(["augment", "--policy", "mixup", "--input", str(data),
+                 "--out", str(tmp_path / "o.records")]) == 2
 
-    from noisecutmix import GenRecord, Provenance, one_hot
+
+def test_exit_code_numerical_failure(tmp_path, cfg_path):
     from noisecutmix.recordio import write_records
 
-    records = []
-    for i in range(12):
-        img = np.full((4, 4), np.inf) if i == 0 else np.random.default_rng(i).standard_normal((4, 4))
-        prov = Provenance(
-            method="offline", class_a=i % 2, class_b=None, lambda_sampled=None,
-            lambda_real=1.0, rect=None, seed=i, sampler="-", steps=0, guidance=0.0, alpha=None,
-        )
-        records.append(GenRecord(image=img, label=one_hot(i % 2, 2), provenance=prov))
+    images = np.stack([np.random.default_rng(i).standard_normal((4, 4)) for i in range(12)])
+    images[0] = np.inf
     data = tmp_path / "diverge.records"
-    write_records(data, records)
+    write_records(data, images, np.eye(2)[np.arange(12) % 2])
     with np.errstate(invalid="ignore"):
         code = main(["train", "--config", str(cfg_path), "--input", str(data),
                      "--seed", "0", "--model-out", str(tmp_path / "m.bin")])

@@ -61,14 +61,24 @@ def test_config_rejects_unknown_method():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        config_from_dict({"trials": 0})
-    with pytest.raises(ConfigError):
-        config_from_dict({"augment_ratio": -1.0})
-    with pytest.raises(ConfigError):
-        config_from_dict({"sampler_kind": "euler"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"num_inference_steps": 2000})
+    for bad in (
+        {"trials": 0},
+        {"augment_ratio": -1.0},
+        {"sampler_kind": "euler"},
+        {"num_inference_steps": 2000},
+        {"trials": 2.5},
+        {"epochs": True},
+        {"width": "16"},
+        {"guidance_scale": False},
+        {"num_classes": 1},
+        {"cutmix_alpha": 0.0},
+        {"mixup_alpha": -0.2},
+        {"noisemix_alpha": float("nan")},
+        {"guidance_scale": -1.0},
+        {"methods": ["original", "noisecutmix", "original"]},
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -101,16 +111,16 @@ def test_gen_random_pool_size_counts():
     # ratio 1.0 doubles a 2-class 10-per-class set to 40 before the split
     cfg = tiny_config(n_train_per_class=10, augment_ratio=1.0)
     sched = make_cosine_schedule(cfg.schedule_steps)
-    pairs, flags, records = build_training_pool("gen_random", cfg, sched, seed=3)
-    assert len(pairs) == 40
-    assert sum(flags) == 20 and len(records) == 20
-    assert all(label.sum() == 1.0 and (label == 1.0).sum() == 1 for _, label in pairs[20:])
+    images, labels, synthetic, records = build_training_pool("gen_random", cfg, sched, seed=3)
+    assert images.shape == (40, 8, 8) and labels.shape == (40, 2)
+    assert np.array_equal(synthetic, np.arange(40) >= 20) and len(records) == 20
+    assert all(label.sum() == 1.0 and (label == 1.0).sum() == 1 for label in labels[20:])
 
 
 def test_noisecutmix_pool_has_soft_labels_and_distinct_pairs():
     cfg = tiny_config()
     sched = make_cosine_schedule(cfg.schedule_steps)
-    _, _, records = build_training_pool("noisecutmix", cfg, sched, seed=4)
+    _, _, _, records = build_training_pool("noisecutmix", cfg, sched, seed=4)
     assert len(records) == 12
     for rec in records:
         assert rec.provenance.class_a != rec.provenance.class_b

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisecutmix import (
     GenRecord,
@@ -12,6 +15,7 @@ from noisecutmix import (
     make_cosine_schedule,
 )
 from noisecutmix.classifier import EpochStats
+from noisecutmix.harness import record_arrays
 from noisecutmix.recordio import (
     load_classifier,
     read_pgm,
@@ -39,7 +43,7 @@ def records():
 
 def test_records_round_trip(tmp_path, records):
     path = tmp_path / "batch.records"
-    write_records(path, records)
+    write_records(path, *record_arrays(records))
     images, labels = read_records(path)
     assert images.shape == (3, 8, 8) and labels.shape == (3, 2)
     for i, rec in enumerate(records):
@@ -49,7 +53,7 @@ def test_records_round_trip(tmp_path, records):
 
 def test_records_header(tmp_path, records):
     path = tmp_path / "batch.records"
-    write_records(path, records)
+    write_records(path, *record_arrays(records))
     header = path.read_bytes().split(b"\n", 1)[0]
     assert header == b"NCMREC1 8 8 2 3"
 
@@ -59,6 +63,60 @@ def test_records_reject_garbage(tmp_path):
     path.write_bytes(b"WRONG 1 2 3 4\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+# a valid two-record file of 2x2 images with K=1: header, then 2 x 5 float64
+_GOOD = b"NCMREC1 2 2 1 2\n" + np.arange(10, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _GOOD + b"\x00",                                        # trailing byte
+        _GOOD + np.zeros(5, dtype="<f8").tobytes(),            # trailing record
+        _GOOD[:-8],                                            # missing bytes
+        b"NCMREC1 2 2 1 -1\n",                                 # negative count
+        b"NCMREC1 2 2 1 100000000000000000\n" + _GOOD[16:],    # huge count
+        b"NCMREC1 0 0 0 5\n",                                  # empty dimensions
+        b"NCMREC1 0 2 1 2\n" + _GOOD[16:],                     # W below 1
+        b"NCMREC1 2 0 1 2\n" + _GOOD[16:],                     # H below 1
+        b"NCMREC1 2 2 0 2\n" + _GOOD[16:],                     # K below 1
+        b"NCMREC1 2 2 1 2\xe2\x80\x83\n" + _GOOD[16:],            # non-ASCII header
+        b"NCMREC1 2 2 1 2" + b" " * 200 + b"\n" + _GOOD[16:],  # header past its bound
+        b"NCMREC1 2 2 1 2",                                    # header without newline
+    ],
+)
+def test_records_reject_header_size_mismatch(tmp_path, content):
+    path = tmp_path / "bad.records"
+    path.write_bytes(content)
+    with pytest.raises(ValueError):
+        read_records(path)
+
+
+def test_records_read_the_valid_fixture(tmp_path):
+    path = tmp_path / "good.records"
+    path.write_bytes(_GOOD)
+    images, labels = read_records(path)
+    assert np.array_equal(images.reshape(2, 4), [[0, 1, 2, 3], [5, 6, 7, 8]])
+    assert np.array_equal(labels, [[4], [9]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    data=st.data(),
+)
+def test_records_round_trip_random_arrays(tmp_path_factory, shape, data):
+    count, h, w, k = shape
+    images = data.draw(arrays(np.float64, (count, h, w)))
+    labels = data.draw(arrays(np.float64, (count, k)))
+    path = tmp_path_factory.getbasetemp() / "random.records"
+    write_records(path, images, labels)
+    back_images, back_labels = read_records(path)
+    assert back_images.shape == images.shape and back_labels.shape == labels.shape
+    # bit-level equality: NaN payloads and signed zeros survive too
+    assert back_images.tobytes() == images.tobytes()
+    assert back_labels.tobytes() == labels.tobytes()
 
 
 def test_provenance_round_trip(tmp_path, records):
@@ -109,6 +167,6 @@ def test_offline_record_construction(tmp_path):
         lambda_real=1.0, rect=None, seed=0, sampler="-", steps=0, guidance=0.0, alpha=None,
     )
     rec = GenRecord(image=np.zeros((4, 4)), label=np.array([0.0, 1.0]), provenance=prov)
-    write_records(tmp_path / "one.records", [rec])
+    write_records(tmp_path / "one.records", rec.image[None], rec.label[None])
     write_provenance(tmp_path / "one.prov", [rec])
     assert read_provenance(tmp_path / "one.prov")[0].method == "offline"

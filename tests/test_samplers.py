@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from noisecutmix import (
+    NumericalDivergence,
     SamplerConfig,
     forward_noise,
     generate_noisecutmix,
@@ -93,8 +94,15 @@ def test_dpm_rejects_nonmonotone_triples(sched):
         step_dpm_pp_2m(x, x, None, (None, 5, 5), sched)
     with pytest.raises(ValueError):
         step_dpm_pp_2m(x, x, x, (4, 5, 3), sched)
-    with pytest.raises(ValueError):
-        step_dpm_pp_2m(x, np.full((3, 3), np.nan), None, (None, 5, 3), sched)
+
+
+def test_dpm_rejects_nonfinite_data_predictions(sched):
+    x = np.zeros((3, 3))
+    nan = np.full((3, 3), np.nan)
+    with pytest.raises(NumericalDivergence):
+        step_dpm_pp_2m(x, nan, None, (None, 5, 3), sched)
+    with pytest.raises(NumericalDivergence):
+        step_dpm_pp_2m(x, x, nan, (6, 5, 3), sched)
 
 
 def test_terminal_steps_of_both_integrators_agree(sched):
