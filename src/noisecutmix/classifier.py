@@ -42,6 +42,10 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in (0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass

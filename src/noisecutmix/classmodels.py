@@ -147,9 +147,10 @@ def predict_noise(
 ) -> np.ndarray:
     """Optimal noise estimate for x_t under the given condition.
 
-    cond is a class id, or None for the unconditional (all-class
-    mixture) branch. x_t may carry leading batch axes over the (H, W)
-    grid; the result has the same shape.
+    cond is a class id, an (N,) array of class ids (one per leading
+    entry of x_t), or None for the unconditional (all-class mixture)
+    branch. x_t may carry leading batch axes over the (H, W) grid; the
+    result has the same shape.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     ab, sqrt_ab, sqrt_1mab = _step_params(t, sched, models)
@@ -158,12 +159,20 @@ def predict_noise(
         # one-class mixture: responsibilities are identically 1
         cond = models[0].class_id
     if cond is not None:
-        by_id = {m.class_id: m for m in models}
-        if cond not in by_id:
-            raise ValueError(f"unknown class id {cond}")
-        m = by_id[cond]
-        v = ab * m.var + (1.0 - ab)
-        return sqrt_1mab * (x_t - sqrt_ab * m.mean) / v
+        pos = {m.class_id: i for i, m in enumerate(models)}
+        ids = np.ravel(cond).tolist()
+        unknown = [c for c in ids if c not in pos]
+        if unknown:
+            raise ValueError(f"unknown class id {unknown[0]}")
+        if np.ndim(cond) == 0:
+            mean, var = models[pos[cond]].mean, models[pos[cond]].var
+        else:
+            # gather the stacked class parameters by id, one row per record
+            idx = [pos[c] for c in ids]
+            mean = np.stack([m.mean for m in models])[idx]
+            var = np.stack([m.var for m in models])[idx]
+        v = ab * var + (1.0 - ab)
+        return sqrt_1mab * (x_t - sqrt_ab * mean) / v
 
     log_dens = _log_class_densities(x_t, t, sched, models)
     log_dens -= log_dens.max(axis=0, keepdims=True)

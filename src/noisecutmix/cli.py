@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentPolicy, apply_policy
-from .classifier import TrainConfig, evaluate, train
+from .classifier import evaluate, train
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalDivergence
 from .harness import (
@@ -24,7 +24,6 @@ from .harness import (
     format_result_table,
     generate_records,
     parse_result_table,
-    record_arrays,
     run_experiment,
 )
 from .recordio import (
@@ -51,8 +50,8 @@ def _cmd_generate(args) -> int:
     models = build_models(cfg)
     sched = make_cosine_schedule(cfg.schedule_steps)
     seed = cfg.master_seed if args.seed is None else args.seed
-    records = generate_records(args.method, cfg, models, sched, args.count, seed)
-    write_records(f"{args.out}.records", *record_arrays(records))
+    images, labels, records = generate_records(args.method, cfg, models, sched, args.count, seed)
+    write_records(f"{args.out}.records", images, labels)
     write_provenance(f"{args.out}.prov", records)
     if args.pgm:
         export_grid(records, f"{args.out}.pgm")
@@ -72,14 +71,7 @@ def _cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     images, labels = read_records(args.input)
     policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        val_fraction=cfg.val_fraction,
-        hidden=cfg.hidden_units,
-        seed=cfg.master_seed if args.seed is None else args.seed,
-    )
+    train_cfg = cfg.train_config(cfg.master_seed if args.seed is None else args.seed)
     model, history = train(images, labels, train_cfg, policy)
     save_classifier(args.model_out, model)
     if args.history_out:
@@ -125,6 +117,8 @@ def _cmd_report(args) -> int:
         stem = records_path.name[: -len(".records")]
         images, labels = read_records(records_path)
         provs = read_provenance(out / f"{stem}.prov")
+        if len(provs) != len(images):
+            raise ValueError(f"{stem}.prov has {len(provs)} lines for {len(images)} records")
         records = [
             GenRecord(image=images[i], label=labels[i], provenance=provs[i])
             for i in range(min(8, len(images)))

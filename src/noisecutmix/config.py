@@ -11,6 +11,9 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .augment import AugmentPolicy
+from .classifier import TrainConfig
+from .classmodels import make_bump_dataset
 from .errors import ConfigError
 from .samplers import SAMPLER_KINDS
 
@@ -93,6 +96,26 @@ class ExperimentConfig:
             raise ConfigError("method list must not be empty")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
+        try:
+            # the validators of the dataset, trainer and policy a run builds, so bad
+            # values fail before any file is written; a count below 0 fails, none is drawn
+            n_check = min(self.n_train_per_class, self.n_test_per_class, 0)
+            make_bump_dataset(self.num_classes, self.width, self.height, self.bump_sigma,
+                              self.noise_var, 0, n_check)
+            self.train_config()
+            AugmentPolicy(probability=self.augment_probability)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def train_config(self, seed: int = 0) -> TrainConfig:
+        return TrainConfig(
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            val_fraction=self.val_fraction,
+            hidden=self.hidden_units,
+            seed=seed,
+        )
 
     def resolved_output_dir(self, override: str | None = None) -> Path:
         if override:

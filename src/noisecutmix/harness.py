@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentPolicy
-from .classifier import TrainConfig, evaluate, train
+from .classifier import evaluate, train
 from .classmodels import ClassModel, make_bump_dataset
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import mask_from_rect
@@ -24,8 +24,7 @@ from .samplers import (
     Provenance,
     SamplerConfig,
     child_rng,
-    generate_noisecutmix,
-    generate_single,
+    generate_batch,
 )
 from .schedule import Schedule, make_cosine_schedule
 
@@ -86,14 +85,6 @@ def _dataset(cfg: ExperimentConfig, seed: int, n_per_class: int):
     )
 
 
-def _sampler_config(cfg: ExperimentConfig) -> SamplerConfig:
-    return SamplerConfig(
-        kind=cfg.sampler_kind,
-        num_inference_steps=cfg.num_inference_steps,
-        guidance_scale=cfg.guidance_scale,
-    )
-
-
 def generate_records(
     method: str,
     cfg: ExperimentConfig,
@@ -101,37 +92,26 @@ def generate_records(
     sched: Schedule,
     count: int,
     seed: int,
-) -> list[GenRecord]:
-    """count generated records for a synthetic-data method.
+) -> tuple[np.ndarray, np.ndarray, list[GenRecord]]:
+    """(images (N, H, W), labels (N, K), records) of count >= 1 generated
+    records for a synthetic-data method, from one generate_batch call.
 
     gen_random draws one class per record uniformly; noisecutmix draws
     the class pair uniformly without replacement. Each record's own
     seed derives from (seed, record index).
     """
-    sampler_cfg = _sampler_config(cfg)
+    sampler_cfg = SamplerConfig(cfg.sampler_kind, cfg.num_inference_steps, cfg.guidance_scale)
     pick_rng = child_rng(seed, _CLASS_PICK_STREAM)
-    records = []
-    for i in range(count):
-        rec_seed = derive_seed(seed, _RECORD_SEED_STREAM, i)
-        if method.startswith("gen_random"):
-            cls = int(pick_rng.integers(cfg.num_classes))
-            records.append(generate_single(cls, sampler_cfg, sched, models, rec_seed))
-        elif method == "noisecutmix":
-            pair = pick_rng.choice(cfg.num_classes, size=2, replace=False)
-            records.append(
-                generate_noisecutmix(
-                    int(pair[0]), int(pair[1]), sampler_cfg, sched, models,
-                    cfg.noisemix_alpha, rec_seed,
-                )
-            )
-        else:
-            raise ValueError(f"method {method!r} does not generate records")
-    return records
-
-
-def record_arrays(records: list[GenRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(images (N, H, W), labels (N, K)) of generated records."""
-    return np.stack([r.image for r in records]), np.stack([r.label for r in records])
+    seeds = [derive_seed(seed, _RECORD_SEED_STREAM, i) for i in range(count)]
+    if method.startswith("gen_random"):
+        classes = [int(pick_rng.integers(cfg.num_classes)) for _ in seeds]
+        return generate_batch(classes, None, sampler_cfg, sched, models, seeds)
+    if method == "noisecutmix":
+        pairs = [pick_rng.choice(cfg.num_classes, size=2, replace=False).tolist() for _ in seeds]
+        class_a, class_b = [p[0] for p in pairs], [p[1] for p in pairs]
+        return generate_batch(class_a, class_b, sampler_cfg, sched, models, seeds,
+                              cfg.noisemix_alpha)
+    raise ValueError(f"method {method!r} does not generate records")
 
 
 def _method_policy(method: str, cfg: ExperimentConfig) -> AugmentPolicy:
@@ -153,11 +133,9 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
     labels = np.eye(cfg.num_classes)[class_ids]
     n_real = len(images)
     records: list[GenRecord] = []
-    if method in ("gen_random", "gen_random+cutmix", "gen_random+mixup", "noisecutmix"):
-        n_aug = int(round(cfg.augment_ratio * n_real))
-        records = generate_records(method, cfg, models, sched, n_aug, seed)
-    if records:
-        gen_images, gen_labels = record_arrays(records)
+    n_aug = int(round(cfg.augment_ratio * n_real))
+    if n_aug and method in ("gen_random", "gen_random+cutmix", "gen_random+mixup", "noisecutmix"):
+        gen_images, gen_labels, records = generate_records(method, cfg, models, sched, n_aug, seed)
         images = np.concatenate([images, gen_images])
         labels = np.concatenate([labels, gen_labels])
     return images, labels, np.arange(len(images)) >= n_real, records
@@ -165,20 +143,14 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
 
 def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
     """Train one classifier under the method's protocol; returns
-    (test accuracy, generated records)."""
-    images, labels, synthetic, records = build_training_pool(method, cfg, sched, seed)
+    (test accuracy, the build_training_pool tuple it trained on)."""
+    pool = build_training_pool(method, cfg, sched, seed)
+    images, labels, synthetic, _ = pool
     policy = _method_policy(method, cfg)
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        val_fraction=cfg.val_fraction,
-        hidden=cfg.hidden_units,
-        seed=derive_seed(seed, _TRAIN_SEED_STREAM),
-    )
+    train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, _ = train(images, labels, train_cfg, policy, synthetic)
     _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
-    return evaluate(model, *test_set), records
+    return evaluate(model, *test_set), pool
 
 
 def format_result_table(table: ResultTable) -> str:
@@ -268,11 +240,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
         accs = []
         for i in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, method, i)
-            acc, records = run_method(method, cfg, sched, seed)
+            acc, (images, labels, synthetic, records) = run_method(method, cfg, sched, seed)
             accs.append(acc)
             if records:
                 stem = f"{method}_t{i}"
-                write_records(out / f"{stem}.records", *record_arrays(records))
+                write_records(out / f"{stem}.records", images[synthetic], labels[synthetic])
                 write_provenance(out / f"{stem}.prov", records)
                 if i == 0:
                     export_grid(records[: min(8, len(records))], out / f"{method}_montage.pgm")

@@ -1,15 +1,17 @@
 """Reverse-process generation: ancestral DDPM and DPM-Solver++(2M).
 
-Two entry points build one record each: generate_single (one class
-condition, the random-generation baseline) and generate_noisecutmix
-(two class conditions whose noise estimates are mixed through a fixed
-binary mask at every step). Batched variants run the identical step
-code over a leading sample axis for distribution-level tests.
+One core, run_reverse, integrates a batch over a leading record axis.
+A record follows one class condition (random generation) or two whose
+guided noise estimates are mixed through a fixed binary mask at every
+step (NoiseCutMix). generate_batch makes records with provenance on it;
+generate_single, generate_noisecutmix, regenerate and sample_*_batch
+are thin wrappers.
 
 Every record derives its randomness from an integer seed through two
 independent child streams, one for mask/ratio draws and one for the
 trajectory, so a record is reproducible bit-exactly from its
-provenance and forcing the mask never perturbs the trajectory draws.
+provenance, alone or in any batch, and forcing the mask never perturbs
+the trajectory draws.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SAMPLER_KINDS = (ANCESTRAL, DPM_PP_2M)
 
 _MASK_STREAM = 0
 _TRAJ_STREAM = 1
+# a single-class record: no mask, the whole grid is class A
+_NO_MASK = MaskSpec(lambda_sampled=math.nan, rect=None, mask=None, lambda_real=1.0)
 
 
 @dataclass
@@ -184,20 +188,58 @@ def step_dpm_pp_2m(
     return sigma_ratio * x - sched.signal(t_to) * math.expm1(-h) * d
 
 
-def _run_reverse(x, eps_fn, cfg: SamplerConfig, sched: Schedule, rng: np.random.Generator):
-    """Drive the reverse process from x at step T down to 0.
+class _RecordStreams:
+    """Per-record trajectory generators behind one generator's draw: row i
+    of every (N, ...) draw comes from record i's own stream, so a record
+    gets the same noise alone as in any batch."""
 
-    eps_fn(x, t) supplies the guided (and possibly mask-mixed) noise
-    estimate; x may carry leading batch axes.
+    def __init__(self, seeds: list[int]):
+        self.rngs = [child_rng(s, _TRAJ_STREAM) for s in seeds]
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return np.stack([r.standard_normal(shape[1:]) for r in self.rngs])
+
+
+def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models):
+    """eps_fn(x, t): the guided noise estimate of one class or of a masked pair.
+
+    class_a and class_b are class ids or (N,) arrays of them. With class_b
+    None this is class_a's guided estimate; otherwise each cell takes
+    class_a's where keep_a ((H, W) or (N, H, W) bool) is set and class_b's
+    elsewhere. Both share one unconditional estimate per step, skipped at
+    guidance 1, where cfg_combine returns the conditional estimate.
     """
+    scale = cfg.guidance_scale
+
+    def eps_fn(x, t):
+        uncond = None if scale == 1.0 else predict_noise(x, None, t, sched, models)
+
+        def guided(cond):
+            eps = predict_noise(x, cond, t, sched, models)
+            return eps if uncond is None else cfg_combine(eps, uncond, scale)
+
+        if class_b is None:
+            return guided(class_a)
+        # mask selection: each cell takes exactly one source value
+        return np.where(keep_a, guided(class_a), guided(class_b))
+
+    return eps_fn
+
+
+def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, rng, n):
+    """The reverse-process core: n terminal images (n, H, W) following
+    guided_eps_fn(class_a, class_b, keep_a) from step T down to 0; rng
+    draws the initial noise and each ancestral step's noise."""
+    h, w = grid_shape(models)
+    x = rng.standard_normal((n, h, w))
+    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, models)
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps)
     if cfg.kind == ANCESTRAL:
         for k in range(len(ts) - 1):
             eps = eps_fn(x, int(ts[k]))
             x = step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, rng)
         return x
-    prev_pred = None
-    prev_t: int | None = None
+    prev_pred, prev_t = None, None
     for k in range(len(ts) - 1):
         t_curr, t_to = int(ts[k]), int(ts[k + 1])
         eps = eps_fn(x, t_curr)
@@ -207,80 +249,8 @@ def _run_reverse(x, eps_fn, cfg: SamplerConfig, sched: Schedule, rng: np.random.
     return x
 
 
-def _single_eps_fn(cond: int, cfg: SamplerConfig, sched: Schedule, models: list[ClassModel]):
-    def eps_fn(x, t):
-        eps_cond = predict_noise(x, cond, t, sched, models)
-        if cfg.guidance_scale == 1.0:
-            # cfg_combine at scale 1 returns the conditional estimate
-            return eps_cond
-        eps_uncond = predict_noise(x, None, t, sched, models)
-        return cfg_combine(eps_cond, eps_uncond, cfg.guidance_scale)
-
-    return eps_fn
-
-
-def _mixed_eps_fn(
-    class_a: int,
-    class_b: int,
-    mask: np.ndarray,
-    cfg: SamplerConfig,
-    sched: Schedule,
-    models: list[ClassModel],
-):
-    keep_a = mask.astype(bool)
-
-    def eps_fn(x, t):
-        if cfg.guidance_scale == 1.0:
-            eps_a = predict_noise(x, class_a, t, sched, models)
-            eps_b = predict_noise(x, class_b, t, sched, models)
-        else:
-            # one shared unconditional estimate per step, guidance per class
-            eps_uncond = predict_noise(x, None, t, sched, models)
-            eps_a = cfg_combine(predict_noise(x, class_a, t, sched, models), eps_uncond, cfg.guidance_scale)
-            eps_b = cfg_combine(predict_noise(x, class_b, t, sched, models), eps_uncond, cfg.guidance_scale)
-        # mask selection: each cell takes exactly one source value
-        return np.where(keep_a, eps_a, eps_b)
-
-    return eps_fn
-
-
-def generate_single(
-    cond: int,
-    cfg: SamplerConfig,
-    sched: Schedule,
-    models: list[ClassModel],
-    seed: int,
-) -> GenRecord:
-    """Generate one image conditioned on a single class; one-hot label."""
-    h, w = grid_shape(models)
-    label = one_hot(cond, num_classes(models))
-    rng = child_rng(seed, _TRAJ_STREAM)
-    x = rng.standard_normal((h, w))
-    x = _run_reverse(x, _single_eps_fn(cond, cfg, sched, models), cfg, sched, rng)
-    prov = Provenance(
-        method="single",
-        class_a=cond,
-        class_b=None,
-        lambda_sampled=None,
-        lambda_real=1.0,
-        rect=None,
-        seed=seed,
-        sampler=cfg.kind,
-        steps=cfg.num_inference_steps,
-        guidance=cfg.guidance_scale,
-        alpha=None,
-    )
-    return GenRecord(image=x, label=label, provenance=prov)
-
-
-def _draw_mask(
-    width: int,
-    height: int,
-    alpha: float,
-    rng: np.random.Generator,
-    force_lambda: float | None,
-    force_mask: np.ndarray | None,
-) -> MaskSpec:
+def _draw_mask(width: int, height: int, alpha: float, rng: np.random.Generator,
+               force_lambda: float | None, force_mask: np.ndarray | None) -> MaskSpec:
     if force_mask is not None:
         mask = np.asarray(force_mask, dtype=np.uint8)
         if mask.shape != (height, width):
@@ -301,6 +271,69 @@ def _draw_mask(
     return sample_mask(width, height, lam, rng)
 
 
+def generate_batch(
+    class_a: list[int],
+    class_b: list[int] | None,
+    cfg: SamplerConfig,
+    sched: Schedule,
+    models: list[ClassModel],
+    seeds: list[int],
+    alpha: float | None = None,
+    force_lambda: float | None = None,
+    force_mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[GenRecord]]:
+    """One record per seed from one core call: (images (N, H, W), labels
+    (N, K), records).
+
+    With class_b None, record i is conditioned on class_a[i] alone and
+    has a one-hot label. Otherwise it mixes the noise estimates of
+    class_a[i] and class_b[i] through a mask drawn once from its seed's
+    mask stream and held fixed across all steps; its soft label uses the
+    realized (post-clipping) area ratio. force_lambda / force_mask bypass
+    the draw for degenerate and oracle tests; forcing never changes the
+    trajectory randomness.
+    """
+    h, w = grid_shape(models)
+    k = num_classes(models)
+    specs, keep_a, cond_b = [_NO_MASK] * len(seeds), None, None
+    if class_b is not None:
+        specs = [_draw_mask(w, h, alpha, child_rng(s, _MASK_STREAM), force_lambda, force_mask)
+                 for s in seeds]
+        keep_a, cond_b = np.stack([s.mask for s in specs]).astype(bool), np.asarray(class_b)
+    images = run_reverse(np.asarray(class_a), cond_b, keep_a, cfg, sched, models,
+                         _RecordStreams(seeds), len(seeds))
+    records = []
+    for i, (a, spec) in enumerate(zip(class_a, specs)):
+        b = None if class_b is None else class_b[i]
+        prov = Provenance(
+            method="single" if b is None else "noisecutmix",
+            class_a=a,
+            class_b=b,
+            lambda_sampled=None if math.isnan(spec.lambda_sampled) else spec.lambda_sampled,
+            lambda_real=spec.lambda_real,
+            rect=spec.rect,
+            seed=seeds[i],
+            sampler=cfg.kind,
+            steps=cfg.num_inference_steps,
+            guidance=cfg.guidance_scale,
+            alpha=alpha,
+        )
+        label = one_hot(a, k) if b is None else mix_labels(a, b, spec.lambda_real, k)
+        records.append(GenRecord(images[i], label, prov, spec.mask))
+    return images, np.stack([r.label for r in records]), records
+
+
+def generate_single(
+    cond: int,
+    cfg: SamplerConfig,
+    sched: Schedule,
+    models: list[ClassModel],
+    seed: int,
+) -> GenRecord:
+    """Generate one image conditioned on a single class; one-hot label."""
+    return generate_batch([cond], None, cfg, sched, models, [seed])[2][0]
+
+
 def generate_noisecutmix(
     class_a: int,
     class_b: int,
@@ -312,40 +345,10 @@ def generate_noisecutmix(
     force_lambda: float | None = None,
     force_mask: np.ndarray | None = None,
 ) -> GenRecord:
-    """Generate one image mixing the noise estimates of two classes.
-
-    The mixing ratio and mask are drawn once before the loop and held
-    fixed across all denoising steps; the soft label uses the realized
-    (post-clipping) area ratio. force_lambda / force_mask bypass the
-    draw for degenerate and oracle tests; forcing never changes the
-    trajectory randomness.
-    """
-    h, w = grid_shape(models)
-    k = num_classes(models)
-    if not (0 <= class_a < k and 0 <= class_b < k):
-        raise ValueError(f"class pair ({class_a}, {class_b}) out of range [0, {k})")
-    spec = _draw_mask(w, h, alpha, child_rng(seed, _MASK_STREAM), force_lambda, force_mask)
-    label = mix_labels(class_a, class_b, spec.lambda_real, k)
-
-    rng = child_rng(seed, _TRAJ_STREAM)
-    x = rng.standard_normal((h, w))
-    eps_fn = _mixed_eps_fn(class_a, class_b, spec.mask, cfg, sched, models)
-    x = _run_reverse(x, eps_fn, cfg, sched, rng)
-
-    prov = Provenance(
-        method="noisecutmix",
-        class_a=class_a,
-        class_b=class_b,
-        lambda_sampled=None if math.isnan(spec.lambda_sampled) else spec.lambda_sampled,
-        lambda_real=spec.lambda_real,
-        rect=spec.rect,
-        seed=seed,
-        sampler=cfg.kind,
-        steps=cfg.num_inference_steps,
-        guidance=cfg.guidance_scale,
-        alpha=alpha,
-    )
-    return GenRecord(image=x, label=label, provenance=prov, mask=spec.mask)
+    """Generate one image mixing the noise estimates of two classes."""
+    return generate_batch(
+        [class_a], [class_b], cfg, sched, models, [seed], alpha, force_lambda, force_mask
+    )[2][0]
 
 
 def regenerate(prov: Provenance, sched: Schedule, models: list[ClassModel]) -> GenRecord:
@@ -372,16 +375,10 @@ def sample_single_batch(
     seed: int,
     n: int,
 ) -> np.ndarray:
-    """n terminal images for one class condition, shape (n, H, W).
-
-    Runs the same step code as generate_single with a batch axis; used
-    for moment-level distribution tests where per-record provenance is
-    not needed.
-    """
-    h, w = grid_shape(models)
-    rng = child_rng(seed, _TRAJ_STREAM)
-    x = rng.standard_normal((n, h, w))
-    return _run_reverse(x, _single_eps_fn(cond, cfg, sched, models), cfg, sched, rng)
+    """n terminal images for one class condition, shape (n, H, W), drawn
+    from one trajectory stream; for moment-level distribution tests where
+    per-record provenance is not needed."""
+    return run_reverse(cond, None, None, cfg, sched, models, child_rng(seed, _TRAJ_STREAM), n)
 
 
 def sample_noisecutmix_batch(
@@ -400,6 +397,4 @@ def sample_noisecutmix_batch(
     if mask.shape != (h, w):
         raise ValueError(f"mask must have shape {(h, w)}")
     rng = child_rng(seed, _TRAJ_STREAM)
-    x = rng.standard_normal((n, h, w))
-    eps_fn = _mixed_eps_fn(class_a, class_b, mask, cfg, sched, models)
-    return _run_reverse(x, eps_fn, cfg, sched, rng)
+    return run_reverse(class_a, class_b, mask.astype(bool), cfg, sched, models, rng, n)

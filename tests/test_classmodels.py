@@ -173,6 +173,18 @@ def test_predictor_batched_axis_matches_loop():
         assert np.allclose(stacked, single, atol=0, rtol=0)
 
 
+def test_predictor_class_id_array_matches_int_calls():
+    sched = make_cosine_schedule(200)
+    models, _ = make_bump_dataset(3, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
+    rng = np.random.default_rng(7)
+    batch = rng.standard_normal((5, 6, 6))
+    cond = np.array([2, 0, 1, 2, 0])
+    for t in (1, 77, 200):
+        stacked = predict_noise(batch, cond, t, sched, models)
+        single = np.stack([predict_noise(batch[i], int(c), t, sched, models) for i, c in enumerate(cond)])
+        assert np.array_equal(stacked, single)
+
+
 def test_predictor_validation():
     sched = make_cosine_schedule(100)
     models = _standard_normal_model()
@@ -181,6 +193,9 @@ def test_predictor_validation():
         predict_noise(x, 0, 73, sched, [])
     with pytest.raises(ValueError):
         predict_noise(x, 3, 73, sched, models)
+    for cond in ([0, 0, 1], [3, 0, 0], [0, -1, 0]):  # an unknown id anywhere in an array
+        with pytest.raises(ValueError, match="unknown class id"):
+            predict_noise(np.zeros((3, 6, 6)), np.array(cond), 73, sched, models)
     with pytest.raises(ValueError):
         predict_noise(x, 0, 0, sched, models)
 

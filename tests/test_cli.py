@@ -107,6 +107,15 @@ def test_experiment_and_report_subcommands(tmp_path, cfg_path, capsys):
     assert (out / "noisecutmix_montage.pgm").read_bytes() == montage_before
 
 
+def test_report_rejects_short_provenance(tmp_path, cfg_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    prov = out / "noisecutmix_t0.prov"
+    prov.write_text(prov.read_text().splitlines()[0] + "\n")  # header line only
+    assert main(["report", "--dir", str(out)]) == 2
+    assert "has 0 lines for 12 records" in capsys.readouterr().err
+
+
 def test_exit_code_invalid_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"trails": 2}))
@@ -114,11 +123,20 @@ def test_exit_code_invalid_config(tmp_path):
 
 
 def test_bad_config_exits_before_writing(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"trials": 2.5}))
-    out = tmp_path / "o"
-    assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2
-    assert not (out / "config.json").exists()
+    for i, raw in enumerate([
+        {"trials": 2.5},
+        {"width": 3},
+        {"batch_size": 0},
+        {"augment_probability": 2.0},
+        {"val_fraction": 1.5},
+        {"n_train_per_class": -1},
+        {"hidden_units": 0},
+    ]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / f"o{i}"
+        assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2, raw
+        assert not out.exists(), raw
 
 
 def test_exit_code_io_failure(tmp_path, cfg_path):

@@ -13,9 +13,11 @@ from noisecutmix import (
 )
 from noisecutmix.config import METHODS
 from noisecutmix.harness import (
+    build_models,
     build_training_pool,
     export_grid,
     format_result_table,
+    generate_records,
     parse_result_table,
     trial_seed,
 )
@@ -76,6 +78,13 @@ def test_config_rejects_bad_values():
         {"noisemix_alpha": float("nan")},
         {"guidance_scale": -1.0},
         {"methods": ["original", "noisecutmix", "original"]},
+        {"width": 3},
+        {"batch_size": 0},
+        {"augment_probability": 2.0},
+        {"val_fraction": 1.5},
+        {"n_train_per_class": -1},
+        {"hidden_units": 0},
+        {"learning_rate": -1.0},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -146,9 +155,23 @@ def test_zero_ratio_noisecutmix_equals_original():
     cfg = tiny_config(augment_ratio=0.0)
     sched = make_cosine_schedule(cfg.schedule_steps)
     acc_orig, _ = run_method("original", cfg, sched, seed=12)
-    acc_ncm, recs = run_method("noisecutmix", cfg, sched, seed=12)
+    acc_ncm, (*_, recs) = run_method("noisecutmix", cfg, sched, seed=12)
     assert recs == []
     assert acc_orig == acc_ncm
+
+
+@pytest.mark.parametrize("method", ["gen_random", "noisecutmix"])
+def test_ancestral_batch_records_regenerate_bit_exactly(method):
+    # each record of a batch draws its step noise from its own stream
+    cfg = tiny_config(sampler_kind="ancestral", num_classes=3)
+    sched = make_cosine_schedule(cfg.schedule_steps)
+    models = build_models(cfg)
+    images, labels, records = generate_records(method, cfg, models, sched, 7, seed=9)
+    assert images.shape == (7, 8, 8) and labels.shape == (7, 3)
+    for image, label, rec in zip(images, labels, records):
+        again = regenerate(rec.provenance, sched, models)
+        assert np.array_equal(again.image, image)
+        assert np.array_equal(again.label, label)
 
 
 def test_trial_seeds_differ_by_method_and_index():

@@ -15,7 +15,6 @@ from noisecutmix import (
     make_cosine_schedule,
 )
 from noisecutmix.classifier import EpochStats
-from noisecutmix.harness import record_arrays
 from noisecutmix.recordio import (
     load_classifier,
     read_pgm,
@@ -39,6 +38,10 @@ def records():
         generate_noisecutmix(0, 1, cfg, sched, models, 1.0, seed=2),
         generate_noisecutmix(1, 0, cfg, sched, models, 0.4, seed=3),
     ]
+
+
+def record_arrays(records):
+    return np.stack([r.image for r in records]), np.stack([r.label for r in records])
 
 
 def test_records_round_trip(tmp_path, records):
