@@ -3,7 +3,9 @@
 Both accept soft labels, not just one-hot, so they compose with
 generator-augmented training sets. apply_policy gates per batch and
 pairs each element with a random permutation partner, drawing a fresh
-ratio (and mask, for CutMix) per pair.
+ratio (and rectangle, for CutMix) per pair. The scalar draws run in one
+short loop; the masks and the mixing then run once over the whole batch.
+cutmix_pair and mixup_pair are the same batch code on a batch of one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import sample_lambda, sample_mask
+from .mixing import mask_from_rect, sample_lambda
 
 POLICY_KINDS = ("none", "cutmix", "mixup")
 
@@ -39,6 +41,56 @@ def _check_pair(img_a, label_a, img_b, label_b):
         raise ValueError(f"label shape mismatch: {label_a.shape} vs {label_b.shape}")
 
 
+def _draw(n, alpha, rng, grid=None, force_lambda=None):
+    """n mixing ratios and, for a (W, H) grid, n CutMix masks (N, H, W), else None.
+
+    Per row, in this order: the ratio from Beta(alpha, alpha) (unless
+    forced), then, on a grid and only for a ratio other than exactly 1.0,
+    the rectangle center x ~ Unif(0, W) and y ~ Unif(0, H). The rectangle
+    measures W sqrt(1 - ratio) x H sqrt(1 - ratio); a row with ratio 1.0
+    draws no center and cuts nothing.
+    """
+    lams, centers = [], np.zeros((n, 2))
+    for i in range(n):
+        lam = sample_lambda(alpha, rng) if force_lambda is None else force_lambda
+        lams.append(lam)
+        if grid is not None and lam != 1.0:
+            centers[i] = rng.uniform(0.0, grid[0]), rng.uniform(0.0, grid[1])
+    lam = np.array(lams, dtype=np.float64)
+    if grid is None:
+        return lam, None
+    width, height = grid
+    side = np.sqrt(1.0 - lam)
+    cut = lam != 1.0
+    masks = np.ones((n, height, width), dtype=np.uint8)
+    rects = np.column_stack([centers, width * side, height * side])
+    masks[cut] = mask_from_rect(width, height, rects[cut])
+    return lam, masks
+
+
+def _mix(images_a, labels_a, images_b, labels_b, lam, masks=None):
+    """Row i mixes (a_i, b_i) into new arrays.
+
+    With masks (CutMix), pixels come from a_i where masks[i] is 1 and the
+    label weight of a_i is the realized (post-clipping) area ratio, not
+    lam, so the label always matches the pixels actually pasted. Without
+    (MixUp), the image and label are the lam[i] convex blend. A row whose
+    weight is exactly 1.0 is a copy of a_i.
+    """
+    if masks is not None:
+        keep = masks.astype(bool)
+        lam = 1.0 - np.count_nonzero(~keep, axis=(1, 2)) / keep[0].size
+        out = np.where(keep, images_a, images_b)
+    else:
+        weight = lam[:, None, None]
+        out = weight * images_a + (1.0 - weight) * images_b
+    weight = lam[:, None]
+    out_labels = weight * labels_a + (1.0 - weight) * labels_b
+    whole = lam == 1.0
+    out[whole], out_labels[whole] = images_a[whole], labels_a[whole]
+    return out, out_labels
+
+
 def cutmix_pair(
     img_a: np.ndarray,
     label_a: np.ndarray,
@@ -60,16 +112,13 @@ def cutmix_pair(
         mask = np.asarray(force_mask, dtype=np.uint8)
         if mask.shape != (h, w):
             raise ValueError(f"forced mask must have shape {(h, w)}")
-        lam_real = 1.0 - np.count_nonzero(mask == 0) / mask.size
+        masks = mask[None]
     else:
-        lam = force_lambda if force_lambda is not None else sample_lambda(alpha, rng)
-        if lam == 1.0:
-            return img_a.copy(), label_a.copy()
-        spec = sample_mask(w, h, lam, rng)
-        mask, lam_real = spec.mask, spec.lambda_real
-    out = np.where(mask.astype(bool), img_a, img_b)
-    label = lam_real * label_a + (1.0 - lam_real) * label_b
-    return out, label
+        if force_lambda is not None and not (0.0 <= force_lambda <= 1.0):
+            raise ValueError(f"lambda must lie in [0, 1], got {force_lambda}")
+        _, masks = _draw(1, alpha, rng, (w, h), force_lambda)
+    out, label = _mix(img_a[None], label_a[None], img_b[None], label_b[None], None, masks)
+    return out[0], label[0]
 
 
 def mixup_pair(
@@ -83,12 +132,9 @@ def mixup_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convex blend of two images and labels with lam ~ Beta(alpha, alpha)."""
     _check_pair(img_a, label_a, img_b, label_b)
-    lam = force_lambda if force_lambda is not None else sample_lambda(alpha, rng)
-    if lam == 1.0:
-        return img_a.copy(), label_a.copy()
-    out = lam * img_a + (1.0 - lam) * img_b
-    label = lam * label_a + (1.0 - lam) * label_b
-    return out, label
+    lam, _ = _draw(1, alpha, rng, None, force_lambda)
+    out, label = _mix(img_a[None], label_a[None], img_b[None], label_b[None], lam)
+    return out[0], label[0]
 
 
 def apply_policy(
@@ -106,21 +152,21 @@ def apply_policy(
     ratio draw into new arrays. trace, if given, collects
     (index, partner, lambda) triples for replay-style verification.
     """
+    images, labels = batch
+    if np.ndim(images) != 3 or np.ndim(labels) != 2 or len(images) != len(labels):
+        raise ValueError(
+            f"expected images (N, H, W) and labels (N, K), got shapes "
+            f"{np.shape(images)} and {np.shape(labels)}"
+        )
     if policy.kind == "none":
         return batch
-    images, labels = batch
-    if len(images) < 2:
+    n, h, w = images.shape
+    if n < 2:
         raise ValueError("active policies need a batch of at least 2")
     if rng.random() >= policy.probability:
         return batch
-    perm = rng.permutation(len(images))
-    mix = cutmix_pair if policy.kind == "cutmix" else mixup_pair
-    out_images, out_labels = np.empty(images.shape), np.empty(labels.shape)
-    for i, j in enumerate(perm.tolist()):
-        lam = sample_lambda(policy.alpha, rng)
-        out_images[i], out_labels[i] = mix(
-            images[i], labels[i], images[j], labels[j], policy.alpha, rng, force_lambda=lam
-        )
-        if trace is not None:
-            trace.append((i, j, lam))
-    return out_images, out_labels
+    perm = rng.permutation(n)
+    lam, masks = _draw(n, policy.alpha, rng, (w, h) if policy.kind == "cutmix" else None)
+    if trace is not None:
+        trace.extend(zip(range(n), perm.tolist(), lam.tolist()))
+    return _mix(images, labels, images[perm], labels[perm], lam, masks)

@@ -8,7 +8,6 @@ bit-reproducible from the config seed.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +47,52 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-@dataclass
 class MlpClassifier:
-    w1: np.ndarray  # (hidden, in_dim)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (K, hidden)
-    b2: np.ndarray  # (K,)
-    seed: int = 0
+    """One hidden rectified-linear layer, softmax output.
+
+    The parameters live in one flat float64 vector, params, laid out as
+    w1 (hidden, in_dim), b1 (hidden,), w2 (K, hidden), b2 (K,): the model
+    file's payload order. w1, b1, w2 and b2 are views of it, so writing
+    into params in place updates the model, and params.copy() snapshots it.
+    """
+
+    def __init__(self, w1, b1, w2, b2, seed: int = 0):
+        shapes = [np.shape(a) for a in (w1, b1, w2, b2)]
+        params = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)], dtype=np.float64)
+        self._bind(params, shapes[0][1], shapes[0][0], len(b2), seed)
+        if shapes != [self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape]:
+            raise ValueError(f"inconsistent parameter shapes {shapes}")
+
+    @classmethod
+    def from_params(
+        cls, params: np.ndarray, in_dim: int, hidden: int, num_classes: int, seed: int = 0
+    ) -> MlpClassifier:
+        """The model whose parameters are views of params itself (no copy)."""
+        model = cls.__new__(cls)
+        model._bind(params, in_dim, hidden, num_classes, seed)
+        return model
+
+    def like(self, params: np.ndarray) -> MlpClassifier:
+        """A model of this shape and seed whose parameters are views of params."""
+        return self.from_params(params, self.in_dim, self.hidden, self.num_classes, self.seed)
+
+    def _bind(self, params, in_dim, hidden, k, seed):
+        e1 = hidden * in_dim
+        e2 = e1 + hidden
+        e3 = e2 + k * hidden
+        if params.dtype != np.float64 or params.shape != (e3 + k,):
+            raise ValueError(f"need {e3 + k} float64 parameters, got {params.dtype}{params.shape}")
+        self.w1, self.b1 = params[:e1].reshape(hidden, in_dim), params[e1:e2]
+        self.w2, self.b2 = params[e2:e3].reshape(k, hidden), params[e3:]
+        self.params, self.seed = params, seed
 
     @property
     def in_dim(self) -> int:
         return self.w1.shape[1]
+
+    @property
+    def hidden(self) -> int:
+        return self.w1.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -90,8 +124,12 @@ def soft_ce_loss(logits: np.ndarray, target: np.ndarray) -> float:
     return float(lse - np.dot(target, logits))
 
 
-def _loss_and_grads(model: MlpClassifier, x: np.ndarray, y: np.ndarray):
-    """Mean soft-CE loss over the batch and its exact parameter gradient."""
+def _loss_and_grads(
+    model: MlpClassifier, x: np.ndarray, y: np.ndarray, out: MlpClassifier | None = None
+):
+    """Mean soft-CE loss over the batch and its exact parameter gradient by
+    name. The gradient is written into the parameters of out, a model of
+    the same shape (allocated when None), and the named arrays are its views."""
     n = x.shape[0]
     z1 = x @ model.w1.T + model.b1
     hidden = np.maximum(z1, 0.0)
@@ -101,15 +139,16 @@ def _loss_and_grads(model: MlpClassifier, x: np.ndarray, y: np.ndarray):
     lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     loss = float(np.mean(lse[:, 0] - np.sum(y * logits, axis=1)))
 
+    g = model.like(np.empty_like(model.params)) if out is None else out
     probs = np.exp(logits - lse)
     dlogits = (probs - y) / n
-    dw2 = dlogits.T @ hidden
-    db2 = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, hidden, out=g.w2)
+    np.sum(dlogits, axis=0, out=g.b2)
     dhidden = dlogits @ model.w2
     dz1 = dhidden * (z1 > 0.0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    np.matmul(dz1.T, x, out=g.w1)
+    np.sum(dz1, axis=0, out=g.b1)
+    return loss, {"w1": g.w1, "b1": g.b1, "w2": g.w2, "b2": g.b2}
 
 
 def gradient(model: MlpClassifier, images: np.ndarray, labels: np.ndarray) -> dict:
@@ -119,25 +158,38 @@ def gradient(model: MlpClassifier, images: np.ndarray, labels: np.ndarray) -> di
 
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig):
+    """Adam over one flat parameter vector, updated in place.
+
+    Each step runs the elementwise expressions
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    p -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
+    in that order, into buffers allocated once.
+    """
+
+    def __init__(self, cfg: TrainConfig, size: int):
         self.cfg = cfg
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._a, self._b = np.empty(size), np.empty(size)
         self.t = 0
 
-    def step(self, model: MlpClassifier, grads: dict):
+    def step(self, params: np.ndarray, g: np.ndarray):
         self.t += 1
         c = self.cfg
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - c.beta1 ** self.t)
-            v_hat = self.v[name] / (1.0 - c.beta2 ** self.t)
-            param = getattr(model, name)
-            param -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        np.multiply(m, c.beta1, out=m)
+        np.multiply(g, 1.0 - c.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, c.beta2, out=v)
+        np.multiply(g, 1.0 - c.beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, 1.0 - c.beta1 ** self.t, out=a)
+        np.multiply(a, c.learning_rate, out=a)
+        np.divide(v, 1.0 - c.beta2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, c.adam_eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(params, a, out=params)
 
 
 def validation_split(
@@ -213,11 +265,12 @@ def train(
     if cfg.epochs == 0:
         return model, history
 
-    adam = _Adam(cfg)
+    adam = _Adam(cfg, model.params.size)
+    grad = model.like(np.empty_like(model.params))
     epoch_rng = child_rng(cfg.seed, _EPOCH_STREAM)
     policy_rng = child_rng(cfg.seed, _POLICY_STREAM)
     best_acc = -1.0
-    best_model = None
+    best_params = None
 
     for epoch in range(cfg.epochs):
         order = train_idx[epoch_rng.permutation(len(train_idx))]
@@ -227,15 +280,15 @@ def train(
             x, y = images[chunk], labels[chunk]
             if policy.kind != "none" and len(chunk) >= 2:
                 x, y = apply_policy((x, y), policy, policy_rng)
-            loss, grads = _loss_and_grads(model, x.reshape(len(x), -1), y)
+            loss, _ = _loss_and_grads(model, x.reshape(len(x), -1), y, grad)
             if not np.isfinite(loss):
                 raise NumericalDivergence(f"non-finite training loss at epoch {epoch}")
-            adam.step(model, grads)
+            adam.step(model.params, grad.params)
             loss_sum += loss * len(chunk)
         val_acc = evaluate(model, images[val_idx], labels_hard[val_idx])
         history.append(EpochStats(epoch, loss_sum / len(train_idx), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
-            best_model = copy.deepcopy(model)
+            best_params = model.params.copy()
 
-    return best_model, history
+    return model.like(best_params), history

@@ -84,6 +84,12 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_classifier(args.model)
     images, labels = read_records(args.input)
+    _, h, w = images.shape
+    if (model.in_dim, model.num_classes) != (h * w, labels.shape[1]):
+        raise ValueError(
+            f"model takes in_dim={model.in_dim} and K={model.num_classes}, but the records "
+            f"hold {h}x{w} images (in_dim={h * w}) and K={labels.shape[1]}"
+        )
     acc = evaluate(model, images, np.argmax(labels, axis=1))
     print(f"accuracy {acc:.6f}")
     return 0

@@ -15,6 +15,7 @@ from .augment import AugmentPolicy
 from .classifier import TrainConfig
 from .classmodels import make_bump_dataset
 from .errors import ConfigError
+from .recordio import open_atomic
 from .samplers import SAMPLER_KINDS
 
 METHODS = (
@@ -153,6 +154,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Resolved copy of the config, key-sorted for byte stability."""
-    Path(path).write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with open_atomic(path) as f:
+        f.write((json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n").encode("utf-8"))

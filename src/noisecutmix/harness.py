@@ -18,7 +18,7 @@ from .classifier import evaluate, train
 from .classmodels import ClassModel, make_bump_dataset
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import mask_from_rect
-from .recordio import write_pgm, write_provenance, write_records
+from .recordio import open_atomic, write_pgm, write_provenance, write_records
 from .samplers import (
     GenRecord,
     Provenance,
@@ -232,6 +232,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
     probe = out / ".write_probe"
     probe.write_bytes(b"")
     probe.unlink()
+    # results.tsv is written last; one left by an earlier run would make
+    # an interrupted rerun look complete
+    (out / "results.tsv").unlink(missing_ok=True)
 
     dump_config(cfg, out / "config.json")
     sched = make_cosine_schedule(cfg.schedule_steps)
@@ -250,5 +253,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
                     export_grid(records[: min(8, len(records))], out / f"{method}_montage.pgm")
         rows.append(ResultRow(method=method, accuracies=accs))
     table = ResultTable(rows=rows, trials=cfg.trials)
-    (out / "results.tsv").write_text(format_result_table(table), encoding="ascii")
+    with open_atomic(out / "results.tsv") as f:
+        f.write(format_result_table(table).encode("ascii"))
     return table

@@ -68,20 +68,24 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     return g1 / total
 
 
-def mask_from_rect(width: int, height: int, rect: tuple[float, float, float, float]) -> np.ndarray:
-    """Binary (H, W) mask, 0 where the cell center falls inside the clipped rectangle."""
-    r_x, r_y, r_w, r_h = rect
-    x1 = max(0.0, r_x - r_w / 2.0)
-    x2 = min(float(width), r_x + r_w / 2.0)
-    y1 = max(0.0, r_y - r_h / 2.0)
-    y2 = min(float(height), r_y + r_h / 2.0)
+def mask_from_rect(width: int, height: int, rect) -> np.ndarray:
+    """Binary (..., H, W) masks for rectangles (..., 4) of (r_x, r_y, r_w, r_h):
+    0 where the cell center falls inside the clipped rectangle.
+
+    One 4-tuple gives one (H, W) mask; an (N, 4) array gives N masks in one
+    broadcast. fmax/fmin clip like Python's max(0.0, v) and min(W, v),
+    which ignore a NaN v.
+    """
+    r_x, r_y, r_w, r_h = np.moveaxis(np.asarray(rect, dtype=np.float64), -1, 0)[..., None]
+    x1 = np.fmax(0.0, r_x - r_w / 2.0)
+    x2 = np.fmin(float(width), r_x + r_w / 2.0)
+    y1 = np.fmax(0.0, r_y - r_h / 2.0)
+    y2 = np.fmin(float(height), r_y + r_h / 2.0)
     cols = np.arange(width, dtype=np.float64) + 0.5
     rows = np.arange(height, dtype=np.float64) + 0.5
     in_x = (cols >= x1) & (cols <= x2)
     in_y = (rows >= y1) & (rows <= y2)
-    mask = np.ones((height, width), dtype=np.uint8)
-    mask[np.outer(in_y, in_x)] = 0
-    return mask
+    return (~(in_y[..., :, None] & in_x[..., None, :])).astype(np.uint8)
 
 
 def realized_lambda(mask: np.ndarray) -> float:

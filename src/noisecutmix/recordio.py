@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,50 @@ from .samplers import GenRecord, Provenance
 
 RECORD_MAGIC = "NCMREC1"
 MODEL_MAGIC = "NCMMLP1"
-# longest header line a record reader accepts: the magic and four integers
+# longest header line the record and model readers accept: the magic and four integers
 _HEADER_MAX = 128
+
+
+@contextmanager
+def open_atomic(path: str | Path):
+    """Binary write handle under which path only ever holds a complete file.
+
+    The bytes go to a temporary file in the same directory, which replaces
+    path when the block ends and is removed if the block raises (an
+    interrupt included), so a failed write leaves neither a partial file
+    at path nor a stray temporary one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: str | Path, lines: list[str]) -> None:
+    with open_atomic(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def _read_header(f, magic: str, path) -> list[int]:
+    """The four integers after magic on a bounded, newline-terminated ASCII header line."""
+    line = f.readline(_HEADER_MAX)
+    header = line.decode("ascii").split()  # UnicodeDecodeError is a ValueError
+    if not line.endswith(b"\n") or len(header) != 5 or header[0] != magic:
+        raise ValueError(f"not a {magic} file: {path}")
+    return [int(v) for v in header[1:]]
+
+
+def _read_payload(f, nbytes: int, path) -> np.ndarray:
+    """The rest of the file as float64, which must be exactly nbytes long."""
+    payload = os.fstat(f.fileno()).st_size - f.tell()
+    if payload != nbytes:
+        raise ValueError(f"{path}: {payload} payload bytes, the header needs {nbytes}")
+    return np.frombuffer(f.read(payload), dtype="<f8")
 
 
 def _fmt(value) -> str:
@@ -39,7 +82,7 @@ def write_records(path: str | Path, images: np.ndarray, labels: np.ndarray) -> N
     if min(images.shape + labels.shape) < 1:
         raise ValueError(f"no records to write in shapes {images.shape} and {labels.shape}")
     matrix = np.concatenate([images.reshape(count, h * w), labels], axis=1)
-    with open(path, "wb") as f:
+    with open_atomic(path) as f:
         f.write(f"{RECORD_MAGIC} {w} {h} {labels.shape[1]} {count}\n".encode("ascii"))
         f.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
@@ -51,18 +94,11 @@ def read_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     read: a file with missing or trailing bytes is rejected.
     """
     with open(path, "rb") as f:
-        line = f.readline(_HEADER_MAX)
-        header = line.decode("ascii").split()  # UnicodeDecodeError is a ValueError
-        if not line.endswith(b"\n") or len(header) != 5 or header[0] != RECORD_MAGIC:
-            raise ValueError(f"not a record file: {path}")
-        w, h, k, count = (int(v) for v in header[1:])
+        w, h, k, count = _read_header(f, RECORD_MAGIC, path)
         if count < 0 or min(w, h, k) < 1:
             raise ValueError(f"bad record header W={w} H={h} K={k} count={count}: {path}")
         per = h * w + k
-        payload = os.fstat(f.fileno()).st_size - f.tell()
-        if payload != count * per * 8:
-            raise ValueError(f"{path}: {payload} payload bytes, the header needs {count * per * 8}")
-        data = np.frombuffer(f.read(payload), dtype="<f8").reshape(count, per)
+        data = _read_payload(f, count * per * 8, path).reshape(count, per)
     return data[:, : h * w].reshape(count, h, w).copy(), data[:, h * w :].copy()
 
 
@@ -84,7 +120,7 @@ def write_provenance(path: str | Path, records: list[GenRecord]) -> None:
             p.seed, p.sampler, p.steps, p.guidance, p.alpha,
         ]
         lines.append("\t".join(_fmt(v) for v in fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, lines)
 
 
 def _parse(value: str, kind):
@@ -127,7 +163,7 @@ def write_pgm(path: str | Path, pixels: np.ndarray, comments: list[str] | None =
     if pixels.ndim != 2 or pixels.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-d uint8 array")
     h, w = pixels.shape
-    with open(path, "wb") as f:
+    with open_atomic(path) as f:
         f.write(b"P5\n")
         for c in comments or []:
             f.write(f"# {c}\n".encode("ascii"))
@@ -155,37 +191,32 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, list[str]]:
 
 def save_classifier(path: str | Path, model: MlpClassifier) -> None:
     """Flat binary model file: header (magic in_dim hidden K seed), then
-    w1, b1, w2, b2 as float64 little-endian."""
-    hidden, in_dim = model.w1.shape
-    k = model.w2.shape[0]
-    with open(path, "wb") as f:
-        f.write(f"{MODEL_MAGIC} {in_dim} {hidden} {k} {model.seed}\n".encode("ascii"))
-        for arr in (model.w1, model.b1, model.w2, model.b2):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    the parameter vector w1, b1, w2, b2 as float64 little-endian."""
+    header = f"{MODEL_MAGIC} {model.in_dim} {model.hidden} {model.num_classes} {model.seed}\n"
+    with open_atomic(path) as f:
+        f.write(header.encode("ascii"))
+        f.write(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
 
 
 def load_classifier(path: str | Path) -> MlpClassifier:
+    """The model stored at path; its parameter vector is one read of the payload.
+
+    The header is bounded and checked against the file size before the
+    payload is read; a dimension below 1 and a non-finite weight are
+    rejected.
+    """
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 5 or header[0] != MODEL_MAGIC:
-            raise ValueError(f"not a model file: {path}")
-        in_dim, hidden, k, seed = (int(v) for v in header[1:])
-        raw = np.frombuffer(f.read(), dtype="<f8")
-    sizes = [hidden * in_dim, hidden, k * hidden, k]
-    if raw.size != sum(sizes):
-        raise ValueError(f"truncated model file: {path}")
-    parts = np.split(raw, np.cumsum(sizes)[:-1])
-    return MlpClassifier(
-        w1=parts[0].reshape(hidden, in_dim).copy(),
-        b1=parts[1].copy(),
-        w2=parts[2].reshape(k, hidden).copy(),
-        b2=parts[3].copy(),
-        seed=seed,
-    )
+        in_dim, hidden, k, seed = _read_header(f, MODEL_MAGIC, path)
+        if min(in_dim, hidden, k) < 1:
+            raise ValueError(f"bad model header in_dim={in_dim} hidden={hidden} K={k}: {path}")
+        params = _read_payload(f, ((in_dim + 1 + k) * hidden + k) * 8, path).astype(np.float64)
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"non-finite weight in model file: {path}")
+    return MlpClassifier.from_params(params, in_dim, hidden, k, seed)
 
 
 def write_history(path: str | Path, history: list[EpochStats]) -> None:
     lines = ["# epoch\ttrain_loss\tval_accuracy"]
     for row in history:
         lines.append(f"{row.epoch}\t{row.train_loss!r}\t{row.val_accuracy!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, lines)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from noisecutmix import AugmentPolicy, apply_policy, cutmix_pair, mixup_pair, one_hot
+from noisecutmix import AugmentPolicy, apply_policy, cutmix_pair, mixup_pair, one_hot, sample_lambda
 from noisecutmix.samplers import child_rng
 
 
@@ -98,18 +100,64 @@ def test_apply_policy_none_is_identity():
     assert out is batch
 
 
-def test_apply_policy_mixup_replay():
-    # with probability 1 every output must equal the recorded pair blend
-    images, labels = batch = _batch(9)
+def _per_pair_reference(images, labels, policy, rng):
+    """Mix pair by pair: the gate, the permutation, then per pair its ratio
+    and, for CutMix with a ratio other than exactly 1.0, its rectangle
+    center (x then y), with the mask built cell by cell."""
+    assert rng.random() < policy.probability
+    n, h, w = images.shape
+    perm = rng.permutation(n)
+    out_images, out_labels, trace = np.empty(images.shape), np.empty(labels.shape), []
+    for i, j in enumerate(perm.tolist()):
+        lam = sample_lambda(policy.alpha, rng)
+        trace.append((i, j, lam))
+        if lam == 1.0:
+            out_images[i], out_labels[i] = images[i], labels[i]
+        elif policy.kind == "mixup":
+            out_images[i] = lam * images[i] + (1.0 - lam) * images[j]
+            out_labels[i] = lam * labels[i] + (1.0 - lam) * labels[j]
+        else:
+            r_x, r_y = rng.uniform(0.0, w), rng.uniform(0.0, h)
+            r_w, r_h = w * math.sqrt(1.0 - lam), h * math.sqrt(1.0 - lam)
+            x1, x2 = max(0.0, r_x - r_w / 2.0), min(float(w), r_x + r_w / 2.0)
+            y1, y2 = max(0.0, r_y - r_h / 2.0), min(float(h), r_y + r_h / 2.0)
+            keep = np.array([[not (x1 <= c + 0.5 <= x2 and y1 <= r + 0.5 <= y2)
+                              for c in range(w)] for r in range(h)])
+            lam_real = 1.0 - np.count_nonzero(~keep) / keep.size
+            out_images[i] = np.where(keep, images[i], images[j])
+            out_labels[i] = lam_real * labels[i] + (1.0 - lam_real) * labels[j]
+    return out_images, out_labels, trace
+
+
+@pytest.mark.parametrize(
+    "kind,alpha", [("mixup", 0.2), ("mixup", 0.01), ("cutmix", 1.0), ("cutmix", 0.01)],
+    ids=["mixup-0.2", "mixup-0.01", "cutmix-1.0", "cutmix-0.01"],
+)
+def test_apply_policy_replay(kind, alpha):
+    # with probability 1 the batch equals a per-pair replay from the same seed, bit for bit;
+    # alpha 0.01 puts some ratios at exactly 1.0, which must draw no rectangle
+    images, labels = batch = _batch(9, n=32)
+    policy = AugmentPolicy(kind, alpha, 1.0)
+    rng, ref_rng = child_rng(9, 0), child_rng(9, 0)
     trace = []
-    policy = AugmentPolicy("mixup", 0.2, 1.0)
-    out_images, out_labels = apply_policy(batch, policy, child_rng(9, 0), trace=trace)
-    assert len(trace) == len(images)
-    for (i, j, lam), img, label in zip(trace, out_images, out_labels):
-        exp_img = lam * images[i] + (1.0 - lam) * images[j]
-        exp_label = lam * labels[i] + (1.0 - lam) * labels[j]
-        assert np.array_equal(img, exp_img) or np.array_equal(img, images[i])
-        assert np.array_equal(label, exp_label) or np.array_equal(label, labels[i])
+    out_images, out_labels = apply_policy(batch, policy, rng, trace=trace)
+    ref_images, ref_labels, ref_trace = _per_pair_reference(images, labels, policy, ref_rng)
+    assert trace == ref_trace
+    assert np.array_equal(out_images, ref_images)
+    assert np.array_equal(out_labels, ref_labels)
+    assert rng.random() == ref_rng.random()  # both consumed the same draws
+    if alpha == 0.01:
+        whole = [i for i, _, lam in trace if lam == 1.0]
+        assert whole and whole[0] < len(images) - 1
+
+
+def test_apply_policy_rejects_mismatched_batch():
+    images, labels = _batch(13)
+    for bad in [(images, labels[:-1]), (images, np.vstack([labels, labels[:1]])),
+                (images[0], labels), (images, labels[:, 0])]:
+        for kind in ("cutmix", "mixup"):
+            with pytest.raises(ValueError):
+                apply_policy(bad, AugmentPolicy(kind, 1.0, 1.0), child_rng(13, 0))
 
 
 def test_apply_policy_labels_stay_on_simplex():

@@ -15,7 +15,7 @@ from noisecutmix import (
     soft_ce_loss,
     train,
 )
-from noisecutmix.classifier import _loss_and_grads, validation_split
+from noisecutmix.classifier import _Adam, _loss_and_grads, validation_split
 from noisecutmix.samplers import child_rng
 
 
@@ -167,6 +167,42 @@ def test_best_epoch_selection():
     real = np.zeros(len(images), dtype=bool)
     _, val_idx = validation_split(real, cfg.val_fraction, child_rng(cfg.seed, 10))
     best = max(h.val_accuracy for h in history)
+    assert evaluate(model, images[val_idx], np.argmax(labels[val_idx], axis=1)) == best
+
+
+def test_adam_flat_step_matches_named_reference():
+    # one in-place step over the flat vector equals the per-array update, bit for bit
+    cfg = TrainConfig(learning_rate=0.01)
+    model = init_classifier(6, 5, 3, seed=7)
+    ref = {name: getattr(model, name).copy() for name in ("w1", "b1", "w2", "b2")}
+    m = {name: np.zeros_like(p) for name, p in ref.items()}
+    v = {name: np.zeros_like(p) for name, p in ref.items()}
+    adam = _Adam(cfg, model.params.size)
+    rng = np.random.default_rng(11)
+    for t in range(1, 8):
+        grads = {name: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for name, p in ref.items()}
+        adam.step(model.params, np.concatenate([g.ravel() for g in grads.values()]))
+        for name, g in grads.items():
+            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
+            ref[name] = ref[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        for name in ref:
+            assert np.array_equal(getattr(model, name), ref[name])
+
+
+def test_train_returns_best_epoch_snapshot():
+    # the best epoch is not the last, so a view of the live parameters would score lower
+    rng = np.random.default_rng(1)
+    images = rng.normal(size=(60, 3, 3))
+    labels = np.eye(2)[rng.integers(0, 2, 60)]
+    images[labels[:, 1] == 1] += 0.4
+    cfg = TrainConfig(batch_size=8, epochs=10, hidden=6, learning_rate=0.05, seed=1)
+    model, history = train(images, labels, cfg)
+    best = max(h.val_accuracy for h in history)
+    assert history[-1].val_accuracy < best
+    _, val_idx = validation_split(np.zeros(60, dtype=bool), cfg.val_fraction, child_rng(cfg.seed, 10))
     assert evaluate(model, images[val_idx], np.argmax(labels[val_idx], axis=1)) == best
 
 

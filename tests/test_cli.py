@@ -92,6 +92,29 @@ def test_train_and_evaluate_subcommands(tmp_path, cfg_path):
     assert code == 0
 
 
+def test_evaluate_rejects_bad_models(tmp_path, cfg_path, capsys):
+    from noisecutmix import init_classifier
+    from noisecutmix.recordio import save_classifier
+
+    data = tmp_path / "data"
+    main(["generate", "--config", str(cfg_path), "--method", "gen_random",
+          "--count", "4", "--seed", "8", "--out", str(data)])
+    records = f"{data}.records"
+    nan_model = tmp_path / "nan.bin"
+    save_classifier(nan_model, init_classifier(64, 8, 2, seed=0))
+    payload = bytearray(nan_model.read_bytes())
+    payload[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    nan_model.write_bytes(bytes(payload))
+    assert main(["evaluate", "--model", str(nan_model), "--input", records]) == 2
+    # a model for 4x4 images and 3 classes against 8x8 records with K=2
+    wrong = tmp_path / "wrong.bin"
+    save_classifier(wrong, init_classifier(16, 8, 3, seed=0))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(wrong), "--input", records]) == 2
+    err = capsys.readouterr().err
+    assert "in_dim=16 and K=3" in err and "8x8 images (in_dim=64) and K=2" in err
+
+
 def test_experiment_and_report_subcommands(tmp_path, cfg_path, capsys):
     out = tmp_path / "exp"
     code = main(["experiment", "--config", str(cfg_path), "--out", str(out)])

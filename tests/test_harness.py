@@ -11,6 +11,7 @@ from noisecutmix import (
     run_experiment,
     run_method,
 )
+from noisecutmix import harness
 from noisecutmix.config import METHODS
 from noisecutmix.harness import (
     build_models,
@@ -243,6 +244,22 @@ def test_single_trial_std_convention(tmp_path):
     assert table.rows[0].std == 0.0
     text = (tmp_path / "one" / "results.tsv").read_text()
     assert "single trial" in text
+
+
+def test_interrupted_rerun_leaves_no_results_table(tmp_path, monkeypatch):
+    out = tmp_path / "exp"
+    cfg = tiny_config(methods=["original"], trials=1)
+    run_experiment(cfg, out)
+    assert (out / "results.tsv").exists()
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_method", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg, out)
+    assert not (out / "results.tsv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
 
 def test_experiment_fails_fast_on_unwritable_dir(tmp_path):

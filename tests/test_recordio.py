@@ -155,6 +155,67 @@ def test_classifier_round_trip(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(model, name))
 
 
+# a valid model file with in_dim=2, hidden=1, K=1: header, then w1 (2), b1, w2, b2
+_MODEL = b"NCMMLP1 2 1 1 7\n" + np.arange(5, dtype="<f8").tobytes()
+
+
+def test_classifier_reads_the_valid_fixture(tmp_path):
+    path = tmp_path / "good.bin"
+    path.write_bytes(_MODEL)
+    model = load_classifier(path)
+    assert model.seed == 7
+    assert np.array_equal(model.w1, [[0.0, 1.0]]) and np.array_equal(model.b2, [4.0])
+    # the named arrays are views of the one parameter vector
+    model.params[:] = -1.0
+    assert np.all(model.w1 == -1.0) and np.all(model.b2 == -1.0)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _MODEL + b"\x00",                                               # trailing byte
+        _MODEL[:-8],                                                    # missing weight
+        b"NCMMLP1 0 1 1 7\n",                                           # in_dim below 1
+        b"NCMMLP1 2 0 1 7\n" + np.zeros(1, dtype="<f8").tobytes(),      # hidden below 1
+        b"NCMMLP1 2 1 0 7\n" + np.zeros(3, dtype="<f8").tobytes(),      # K below 1
+        b"NCMMLP1 2 1 1 7\n" + np.array([0, 1, np.nan, 3, 4], dtype="<f8").tobytes(),  # NaN weight
+        b"NCMMLP1 2 1 1 7\n" + np.array([0, 1, 2, 3, -np.inf], dtype="<f8").tobytes(),  # infinite weight
+        b"NCMMLP1 2 1 1 7" + b" " * 200 + b"\n" + _MODEL[16:],           # header past its bound
+        b"NCMMLP1 2 1 1 7",                                             # header without newline
+        b"NCMMLP1 2 1 1 7\xe2\x80\x83\n" + _MODEL[16:],                  # non-ASCII header
+        b"NCMREC1 2 1 1 7\n" + _MODEL[16:],                              # wrong magic
+    ],
+)
+def test_classifier_rejects_bad_files(tmp_path, content):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(ValueError):
+        load_classifier(path)
+
+
+@pytest.mark.parametrize("writer", ["pgm", "provenance"])
+def test_failed_write_leaves_no_file(tmp_path, records, writer):
+    # the non-ASCII text fails to encode once the write has begun (for the PGM, mid-payload)
+    path = tmp_path / "artifact"
+    prov = vars(records[0].provenance)
+    bad = GenRecord(image=records[0].image, label=records[0].label,
+                    provenance=Provenance(**{**prov, "method": "caf\u00e9"}))
+
+    def write():
+        if writer == "pgm":
+            write_pgm(path, np.zeros((2, 2), dtype=np.uint8), comments=["ok", "caf\u00e9"])
+        else:
+            write_provenance(path, [records[0], bad])
+
+    with pytest.raises(UnicodeEncodeError):
+        write()
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old")
+    with pytest.raises(UnicodeEncodeError):
+        write()
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
+
+
 def test_history_file(tmp_path):
     hist = [EpochStats(0, 1.25, 0.5), EpochStats(1, 0.75, 0.625)]
     path = tmp_path / "history.tsv"
