@@ -48,8 +48,10 @@ def _draw(n, alpha, rng, grid=None, force_lambda=None):
     forced), then, on a grid and only for a ratio other than exactly 1.0,
     the rectangle center x ~ Unif(0, W) and y ~ Unif(0, H). The rectangle
     measures W sqrt(1 - ratio) x H sqrt(1 - ratio); a row with ratio 1.0
-    draws no center and cuts nothing.
+    draws no center and cuts nothing. A forced ratio must lie in [0, 1].
     """
+    if force_lambda is not None and not (0.0 <= force_lambda <= 1.0):
+        raise ValueError(f"lambda must lie in [0, 1], got {force_lambda}")
     lams, centers = [], np.zeros((n, 2))
     for i in range(n):
         lam = sample_lambda(alpha, rng) if force_lambda is None else force_lambda
@@ -114,8 +116,6 @@ def cutmix_pair(
             raise ValueError(f"forced mask must have shape {(h, w)}")
         masks = mask[None]
     else:
-        if force_lambda is not None and not (0.0 <= force_lambda <= 1.0):
-            raise ValueError(f"lambda must lie in [0, 1], got {force_lambda}")
         _, masks = _draw(1, alpha, rng, (w, h), force_lambda)
     out, label = _mix(img_a[None], label_a[None], img_b[None], label_b[None], None, masks)
     return out[0], label[0]

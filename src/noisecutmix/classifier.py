@@ -20,6 +20,8 @@ _SPLIT_STREAM = 10
 _INIT_STREAM = 11
 _EPOCH_STREAM = 12
 _POLICY_STREAM = 13
+# how far a training label's row sum may sit from 1 (mixed labels round off)
+LABEL_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -248,6 +250,11 @@ def train(
         synthetic = np.zeros(n, dtype=bool)
     if len(labels) != n or len(synthetic) != n:
         raise ValueError("labels and synthetic flags must match the number of images")
+    if not (np.all(np.isfinite(labels)) and np.all(labels >= 0.0)
+            and np.all(np.abs(labels.sum(axis=1) - 1.0) <= LABEL_SUM_TOL)):
+        raise ValueError(
+            f"labels must be finite, non-negative and sum to 1 within {LABEL_SUM_TOL} per row"
+        )
 
     labels_hard = np.argmax(labels, axis=1)
     classes = np.unique(labels_hard)

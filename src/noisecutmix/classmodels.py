@@ -121,19 +121,27 @@ def _step_params(t: int, sched: Schedule, models: list[ClassModel]):
 
 
 def _log_class_densities(
-    x_t: np.ndarray, t: int, sched: Schedule, models: list[ClassModel]
+    x_t: np.ndarray,
+    t: int,
+    sched: Schedule,
+    models: list[ClassModel],
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """log(w_c) + log N(x_t; sqrt(abar_t) mu_c, v_c) for each class.
 
     x_t may carry leading batch axes; densities are totals over the
-    trailing (H, W) axes. Returns shape (K,) + batch_shape.
+    trailing (H, W) axes. Returns shape (K,) + batch_shape. work, an
+    array of x_t's shape, holds each class's elementwise terms if given.
     """
     ab, sqrt_ab, _ = _step_params(t, sched, models)
     out = []
     for m in models:
         v = ab * m.var + (1.0 - ab)
-        z = x_t - sqrt_ab * m.mean
-        ll = -0.5 * np.sum(np.log(v) + LOG_2PI + z * z / v, axis=(-2, -1))
+        z = np.subtract(x_t, sqrt_ab * m.mean, out=work)
+        np.multiply(z, z, out=z)
+        np.divide(z, v, out=z)
+        np.add(np.log(v) + LOG_2PI, z, out=z)
+        ll = -0.5 * np.sum(z, axis=(-2, -1))
         out.append(math.log(m.weight) + ll)
     return np.stack(out, axis=0)
 
@@ -144,13 +152,16 @@ def predict_noise(
     t: int,
     sched: Schedule,
     models: list[ClassModel],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal noise estimate for x_t under the given condition.
 
     cond is a class id, an (N,) array of class ids (one per leading
     entry of x_t), or None for the unconditional (all-class mixture)
     branch. x_t may carry leading batch axes over the (H, W) grid; the
-    result has the same shape.
+    result has the same shape and goes into out if given (not x_t).
+    The mixture branch keeps its per-class terms in one array of x_t's
+    shape that it allocates per call.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     ab, sqrt_ab, sqrt_1mab = _step_params(t, sched, models)
@@ -172,18 +183,25 @@ def predict_noise(
             mean = np.stack([m.mean for m in models])[idx]
             var = np.stack([m.var for m in models])[idx]
         v = ab * var + (1.0 - ab)
-        return sqrt_1mab * (x_t - sqrt_ab * mean) / v
+        eps = np.subtract(x_t, sqrt_ab * mean, out=out)
+        np.multiply(sqrt_1mab, eps, out=eps)
+        return np.divide(eps, v, out=eps)
 
-    log_dens = _log_class_densities(x_t, t, sched, models)
+    work = np.empty_like(x_t)
+    log_dens = _log_class_densities(x_t, t, sched, models, work)
     log_dens -= log_dens.max(axis=0, keepdims=True)
     resp = np.exp(log_dens)
     resp /= resp.sum(axis=0, keepdims=True)
 
-    eps = np.zeros_like(x_t)
+    eps = np.empty_like(x_t) if out is None else out
+    eps.fill(0.0)
     for r_c, m in zip(resp, models):
         v = ab * m.var + (1.0 - ab)
-        eps += r_c[..., None, None] * (x_t - sqrt_ab * m.mean) / v
-    return sqrt_1mab * eps
+        term = np.subtract(x_t, sqrt_ab * m.mean, out=work)
+        np.multiply(r_c[..., None, None], term, out=term)
+        np.divide(term, v, out=term)
+        np.add(eps, term, out=eps)
+    return np.multiply(sqrt_1mab, eps, out=eps)
 
 
 def num_classes(models: list[ClassModel]) -> int:

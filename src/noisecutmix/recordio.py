@@ -130,6 +130,7 @@ def _parse(value: str, kind):
 
 
 def read_provenance(path: str | Path) -> list[Provenance]:
+    """The provenance of each record line; a rect is given in full or not at all."""
     out = []
     for line in Path(path).read_text(encoding="ascii").splitlines():
         if not line or line.startswith("#"):
@@ -137,8 +138,11 @@ def read_provenance(path: str | Path) -> list[Provenance]:
         v = line.split("\t")
         if len(v) != len(_PROV_COLUMNS):
             raise ValueError(f"malformed provenance line: {line!r}")
-        rect_vals = tuple(_parse(x, float) for x in v[6:10])
-        rect = None if rect_vals[0] is None else rect_vals
+        rect = tuple(_parse(x, float) for x in v[6:10])
+        if rect.count(None) == 4:
+            rect = None
+        elif None in rect:
+            raise ValueError(f"partly given rect in provenance line: {line!r}")
         out.append(
             Provenance(
                 method=v[1],
@@ -172,7 +176,11 @@ def write_pgm(path: str | Path, pixels: np.ndarray, comments: list[str] | None =
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """Returns (pixels (H, W) uint8, comment lines)."""
+    """Returns (pixels (H, W) uint8, comment lines).
+
+    W and H must be at least 1, and the file must hold the W*H pixel
+    bytes its header needs; the size is checked before they are read.
+    """
     with open(path, "rb") as f:
         if f.readline().strip() != b"P5":
             raise ValueError(f"not a binary PGM: {path}")
@@ -185,6 +193,10 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, list[str]]:
         maxval = int(f.readline())
         if maxval != 255:
             raise ValueError("only 8-bit PGM supported")
+        if min(w, h) < 1:
+            raise ValueError(f"bad PGM size {w}x{h}: {path}")
+        if os.fstat(f.fileno()).st_size - f.tell() < w * h:
+            raise ValueError(f"{path}: fewer than the {w * h} pixel bytes its header needs")
         pixels = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
     return pixels.copy(), comments
 

@@ -102,9 +102,14 @@ def timestep_grid(num_steps: int, num_inference_steps: int) -> np.ndarray:
     return ts
 
 
-def tweedie_x0(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: Schedule) -> np.ndarray:
-    """Data estimate (x_t - sigma_t eps) / a_t."""
-    return (x_t - sched.noise(t) * eps_hat) / sched.signal(t)
+def tweedie_x0(
+    x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: Schedule, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Data estimate (x_t - sigma_t eps) / a_t, into out if given (which may
+    be eps_hat, not x_t)."""
+    x0 = np.multiply(sched.noise(t), eps_hat, out=out)
+    np.subtract(x_t, x0, out=x0)
+    return np.divide(x0, sched.signal(t), out=x0)
 
 
 def step_ancestral(
@@ -114,12 +119,15 @@ def step_ancestral(
     t_to: int,
     sched: Schedule,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One DDPM posterior step from t_from to t_to (skip steps allowed).
 
     Returns the posterior mean toward t_to plus posterior-variance
     noise; the noise term is omitted on the terminal step t_to = 0,
-    where the posterior collapses onto the data estimate.
+    where the posterior collapses onto the data estimate. The result
+    goes into out if given, which may be x_t or eps_hat; the data
+    estimate and then the noise draw share one array allocated per call.
     """
     if not (t_from > t_to >= 0):
         raise ValueError(f"need t_from > t_to >= 0, got {t_from} -> {t_to}")
@@ -131,11 +139,15 @@ def step_ancestral(
     u = ab_t / ab_s
     coef_x0 = math.sqrt(ab_s) * (1.0 - u) / (1.0 - ab_t)
     coef_xt = math.sqrt(u) * (1.0 - ab_s) / (1.0 - ab_t)
-    mean = coef_x0 * x0 + coef_xt * x_t
+    np.multiply(coef_x0, x0, out=x0)
+    mean = np.multiply(coef_xt, x_t, out=out)
+    np.add(x0, mean, out=mean)
     if t_to == 0:
         return mean
     post_var = (1.0 - ab_s) * (1.0 - u) / (1.0 - ab_t)
-    return mean + math.sqrt(post_var) * rng.standard_normal(np.shape(x_t))
+    noise = rng.standard_normal(np.shape(x_t), out=x0)
+    np.multiply(math.sqrt(post_var), noise, out=noise)
+    return np.add(mean, noise, out=mean)
 
 
 def step_dpm_pp_2m(
@@ -144,6 +156,7 @@ def step_dpm_pp_2m(
     datapred_prev: np.ndarray | None,
     times: tuple[int | None, int, int],
     sched: Schedule,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """DPM-Solver++(2M) update in the data-prediction parametrization.
 
@@ -157,7 +170,9 @@ def step_dpm_pp_2m(
 
     The update is deterministic. A target of t_to = 0 has infinite h;
     the update limit there is the current data prediction, which is
-    returned directly (the standard lower-order terminal step).
+    returned directly (the standard lower-order terminal step). The
+    result goes into out if given, which may be either data prediction
+    but not x; one more array is allocated per call.
     """
     t_prev, t_curr, t_to = times
     if not (t_curr > t_to >= 0):
@@ -173,19 +188,26 @@ def step_dpm_pp_2m(
         raise NumericalDivergence("data predictions must be finite")
 
     if t_to == 0:
-        return np.array(datapred_curr, dtype=np.float64, copy=True)
+        return np.positive(np.asarray(datapred_curr, dtype=np.float64), out=out)  # a copy
 
     l_curr = sched.log_snr_half(t_curr)
     l_to = sched.log_snr_half(t_to)
     h = l_to - l_curr
+    coef_d = sched.signal(t_to) * math.expm1(-h)
     if datapred_prev is None:
-        d = datapred_curr
+        tmp = None
+        d = np.multiply(coef_d, datapred_curr, out=out)
     else:
         h_prev = l_curr - sched.log_snr_half(t_prev)
         r = h_prev / h
-        d = (1.0 + 1.0 / (2.0 * r)) * datapred_curr - (1.0 / (2.0 * r)) * datapred_prev
+        # datapred_prev is read before out, which may hold it, is written
+        tmp = np.multiply(1.0 / (2.0 * r), datapred_prev)
+        d = np.multiply(1.0 + 1.0 / (2.0 * r), datapred_curr, out=out)
+        np.subtract(d, tmp, out=d)
+        np.multiply(coef_d, d, out=d)
     sigma_ratio = sched.noise(t_to) / sched.noise(t_curr)
-    return sigma_ratio * x - sched.signal(t_to) * math.expm1(-h) * d
+    scaled = np.multiply(sigma_ratio, x, out=tmp)
+    return np.subtract(scaled, d, out=d)
 
 
 class _RecordStreams:
@@ -196,32 +218,47 @@ class _RecordStreams:
     def __init__(self, seeds: list[int]):
         self.rngs = [child_rng(s, _TRAJ_STREAM) for s in seeds]
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return np.stack([r.standard_normal(shape[1:]) for r in self.rngs])
+    def standard_normal(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """A (N, ...) draw, row i from record i's stream, into out if given."""
+        if shape[0] != len(self.rngs):
+            raise ValueError(f"draw of {shape[0]} rows from {len(self.rngs)} record streams")
+        out = np.empty(shape) if out is None else out
+        for r, row in zip(self.rngs, out):
+            r.standard_normal(out=row)
+        return out
 
 
-def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models):
-    """eps_fn(x, t): the guided noise estimate of one class or of a masked pair.
+def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, shape):
+    """eps_fn(x, t, out=None): the guided noise estimate of one class or of a masked pair.
 
     class_a and class_b are class ids or (N,) arrays of them. With class_b
     None this is class_a's guided estimate; otherwise each cell takes
     class_a's where keep_a ((H, W) or (N, H, W) bool) is set and class_b's
     elsewhere. Both share one unconditional estimate per step, skipped at
     guidance 1, where cfg_combine returns the conditional estimate.
+
+    x has the given shape. The unconditional and class_a estimates live
+    in arrays allocated here once; the returned estimate goes into out
+    if given (not x), else into a new array.
     """
     scale = cfg.guidance_scale
+    uncond_buf = None if scale == 1.0 else np.empty(shape)
+    a_buf = None if class_b is None else np.empty(shape)
 
-    def eps_fn(x, t):
-        uncond = None if scale == 1.0 else predict_noise(x, None, t, sched, models)
+    def eps_fn(x, t, out=None):
+        uncond = None if scale == 1.0 else predict_noise(x, None, t, sched, models, out=uncond_buf)
 
-        def guided(cond):
-            eps = predict_noise(x, cond, t, sched, models)
-            return eps if uncond is None else cfg_combine(eps, uncond, scale)
+        def guided(cond, buf):
+            eps = predict_noise(x, cond, t, sched, models, out=buf)
+            return eps if uncond is None else cfg_combine(eps, uncond, scale, out=eps)
 
         if class_b is None:
-            return guided(class_a)
+            return guided(class_a, out)
+        eps_a = guided(class_a, a_buf)
+        eps = guided(class_b, out)
         # mask selection: each cell takes exactly one source value
-        return np.where(keep_a, guided(class_a), guided(class_b))
+        np.copyto(eps, eps_a, where=keep_a)
+        return eps
 
     return eps_fn
 
@@ -229,22 +266,32 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
 def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, rng, n):
     """The reverse-process core: n terminal images (n, H, W) following
     guided_eps_fn(class_a, class_b, keep_a) from step T down to 0; rng
-    draws the initial noise and each ancestral step's noise."""
+    draws the initial noise and each ancestral step's noise.
+
+    The working (n, H, W) arrays are allocated once, before the first
+    step, and every step writes into them: x and the noise estimate, the
+    unconditional and class_a estimates when guiding or mixing, and for
+    DPM-Solver++(2M) one that receives the first update. There the data prediction overwrites the noise estimate
+    and each later update overwrites the previous prediction, so x, the
+    estimate and the previous prediction rotate through three arrays.
+    """
     h, w = grid_shape(models)
     x = rng.standard_normal((n, h, w))
-    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, models)
+    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, models, x.shape)
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps)
+    eps = np.empty_like(x)
     if cfg.kind == ANCESTRAL:
         for k in range(len(ts) - 1):
-            eps = eps_fn(x, int(ts[k]))
-            x = step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, rng)
+            eps_fn(x, int(ts[k]), out=eps)
+            step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, rng, out=x)
         return x
-    prev_pred, prev_t = None, None
+    free, prev_pred, prev_t = np.empty_like(x), None, None
     for k in range(len(ts) - 1):
         t_curr, t_to = int(ts[k]), int(ts[k + 1])
-        eps = eps_fn(x, t_curr)
-        pred = tweedie_x0(x, eps, t_curr, sched)
-        x = step_dpm_pp_2m(x, pred, prev_pred, (prev_t, t_curr, t_to), sched)
+        eps_fn(x, t_curr, out=eps)
+        pred = tweedie_x0(x, eps, t_curr, sched, out=eps)
+        dest = free if prev_pred is None else prev_pred
+        x, eps = step_dpm_pp_2m(x, pred, prev_pred, (prev_t, t_curr, t_to), sched, out=dest), x
         prev_pred, prev_t = pred, t_curr
     return x
 

@@ -85,17 +85,22 @@ def forward_noise(x0: np.ndarray, eps: np.ndarray, t: int, sched: Schedule) -> n
     return sched.signal(t) * x0 + sched.noise(t) * eps
 
 
-def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, scale: float) -> np.ndarray:
+def cfg_combine(
+    eps_cond: np.ndarray, eps_uncond: np.ndarray, scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Classifier-free guidance: eps_uncond + scale * (eps_cond - eps_uncond).
 
-    scale 0 and 1 return the respective input bit-exactly.
+    scale 0 and 1 return (a copy of) the respective input bit-exactly.
+    The result goes into out if given, which may be eps_cond.
     """
     eps_cond = np.asarray(eps_cond, dtype=np.float64)
     eps_uncond = np.asarray(eps_uncond, dtype=np.float64)
     if eps_cond.shape != eps_uncond.shape:
         raise ValueError(f"shape mismatch: {eps_cond.shape} vs {eps_uncond.shape}")
     if scale == 1.0:
-        return eps_cond.copy()
+        return np.positive(eps_cond, out=out)  # an exact copy
     if scale == 0.0:
-        return eps_uncond.copy()
-    return eps_uncond + scale * (eps_cond - eps_uncond)
+        return np.positive(eps_uncond, out=out)
+    eps = np.subtract(eps_cond, eps_uncond, out=out)
+    np.multiply(scale, eps, out=eps)
+    return np.add(eps_uncond, eps, out=eps)

@@ -83,6 +83,15 @@ def test_pair_shape_mismatch():
         mixup_pair(np.zeros((4, 4)), one_hot(0, 2), np.zeros((4, 4)), one_hot(1, 3), 1.0, child_rng(0, 0))
 
 
+@pytest.mark.parametrize("pair", [cutmix_pair, mixup_pair])
+@pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
+def test_pair_rejects_forced_lambda_outside_unit_interval(pair, lam):
+    # mixup_pair once extrapolated: lambda 1.5 gave the label [1.5, -0.5]
+    a, ya, b, yb = _pair(9)
+    with pytest.raises(ValueError):
+        pair(a, ya, b, yb, 1.0, child_rng(9, 0), force_lambda=lam)
+
+
 def _batch(seed, n=6, k=4):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 8, 8)), np.eye(k)[np.arange(n) % k]

@@ -226,6 +226,27 @@ def test_train_rejects_bad_datasets():
         train(np.zeros((12, 2, 2)), np.tile(one_hot(0, 2), (12, 1)), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative", "sum_above", "sum_below"])
+def test_train_rejects_labels_off_the_simplex(bad):
+    images, labels = _separable_dataset()
+    labels[3] = {
+        "nan": [math.nan, 1.0],
+        "inf": [math.inf, 0.0],
+        "negative": [-1.0, 2.0],  # sums to 1, so only the sign check catches it
+        "sum_above": [0.5, 0.5 + 2e-9],
+        "sum_below": [0.0, 1.0 - 2e-9],
+    }[bad]
+    with pytest.raises(ValueError, match="labels must be"):
+        train(images, labels, TrainConfig(epochs=1))
+
+
+def test_train_accepts_labels_within_the_sum_tolerance():
+    images, labels = _separable_dataset()
+    labels[3] = [0.3, 0.7 + 5e-10]
+    _, history = train(images, labels, TrainConfig(epochs=1))
+    assert len(history) == 1
+
+
 def test_train_raises_on_nonfinite_loss():
     images, labels = _separable_dataset()
     images[0] = np.inf

@@ -195,6 +195,21 @@ def test_exit_code_numerical_failure(tmp_path, cfg_path):
     assert code == 4
 
 
+def test_train_rejects_labels_off_the_simplex(tmp_path, cfg_path, capsys):
+    from noisecutmix.recordio import write_records
+
+    images = np.stack([np.random.default_rng(i).standard_normal((4, 4)) for i in range(12)])
+    labels = np.eye(2)[np.arange(12) % 2] * 3.0 - 1.0  # one-hot rows mapped to -1 and 2
+    data = tmp_path / "offsimplex.records"
+    write_records(data, images, labels)
+    model = tmp_path / "m.bin"
+    code = main(["train", "--config", str(cfg_path), "--input", str(data),
+                 "--seed", "0", "--model-out", str(model)])
+    assert code == 2
+    assert "labels must be" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_output_dir_env_default(tmp_path, cfg_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("NOISECUTMIX_OUTDIR", str(target))

@@ -131,6 +131,95 @@ def test_provenance_round_trip(tmp_path, records):
         assert prov == rec.provenance  # floats round-trip exactly via repr
 
 
+def test_provenance_rejects_partly_given_rect(tmp_path, records):
+    path = tmp_path / "batch.prov"
+    write_provenance(path, records)
+    lines = path.read_text(encoding="ascii").splitlines()
+    fields = lines[2].split("\t")
+    assert "-" not in fields[6:10]
+    fields[7] = "-"  # once parsed as rect=(x, None, w, h)
+    path.write_text("\n".join(lines[:2] + ["\t".join(fields)]) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="partly given rect"):
+        read_provenance(path)
+
+
+def _parses_or_value_error(reader, path):
+    try:
+        reader(path)
+    except ValueError:
+        pass
+
+
+_PROV_TOKENS = ["-", "0", "1", "-3", "0.25", "nan", "inf", "1e999", "", "x", "\u00e9", "9" * 5000]
+
+
+@st.composite
+def _provenance_bytes(draw):
+    fields = ["0", "noisecutmix", "0", "1", "0.5", "0.5", "1.0", "2.0", "3.0", "4.0",
+              "7", "ancestral", "25", "7.5", "1.0"]
+    for _ in range(draw(st.integers(0, 4))):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_PROV_TOKENS))
+    fields = fields[: draw(st.integers(len(fields) - 1, len(fields)))] + draw(
+        st.lists(st.sampled_from(_PROV_TOKENS), max_size=1))
+    line = "\t".join(fields).encode("utf-8")
+    return draw(st.sampled_from([b"", b"# header\n"])) + line + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(st.binary(max_size=200), _provenance_bytes()))
+def test_provenance_reader_fuzz(tmp_path_factory, content):
+    # arbitrary bytes parse or raise ValueError, never another exception type
+    path = tmp_path_factory.getbasetemp() / "fuzz.prov"
+    path.write_bytes(content)
+    _parses_or_value_error(read_provenance, path)
+
+
+@st.composite
+def _pgm_bytes(draw):
+    dims = draw(st.lists(st.sampled_from([b"0", b"1", b"3", b"-1", b"-3", b"99999999999", b"x"]),
+                         min_size=1, max_size=3))
+    head = b"P5\n" + b"".join(draw(st.lists(st.sampled_from([b"# c\n", b"#\xff\n"]), max_size=2)))
+    maxval = draw(st.sampled_from([b"255\n", b"65535\n", b"\n", b""]))
+    return head + b" ".join(dims) + b"\n" + maxval + draw(st.binary(max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(st.binary(max_size=200), _pgm_bytes()))
+def test_pgm_reader_fuzz(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(content)
+    _parses_or_value_error(read_pgm, path)
+
+
+@st.composite
+def _binary_header_bytes(draw):
+    magic = draw(st.sampled_from([b"NCMREC1", b"NCMMLP1", b"P5", b""]))
+    ints = draw(st.lists(st.sampled_from([b"0", b"1", b"2", b"-1", b"100000000000000000", b"x"]),
+                         min_size=3, max_size=5))
+    end = draw(st.sampled_from([b"\n", b"", b" \xff\n"]))
+    payload = draw(st.one_of(st.binary(max_size=64), st.lists(st.floats(), max_size=8).map(
+        lambda v: np.array(v, dtype="<f8").tobytes())))
+    return b" ".join([magic, *ints]) + end + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(st.binary(max_size=200), _binary_header_bytes()))
+@pytest.mark.parametrize("reader", [read_records, load_classifier], ids=["records", "model"])
+def test_binary_reader_fuzz(tmp_path_factory, reader, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(content)
+    _parses_or_value_error(reader, path)
+
+
+def test_pgm_rejects_bad_sizes(tmp_path):
+    path = tmp_path / "bad.pgm"
+    for content in (b"P5\n-1 3\n255\n" + bytes(6), b"P5\n0 0\n255\n", b"P5\n2 2\n255\n" + bytes(3),
+                    b"P5\n99999999999 99999999999\n255\n"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError):
+            read_pgm(path)
+
+
 def test_pgm_round_trip(tmp_path):
     pixels = np.arange(48, dtype=np.uint8).reshape(6, 8)
     path = tmp_path / "img.pgm"

@@ -158,7 +158,7 @@ def test_mixed_noise_is_pure_selection(sched, bump_models):
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10, guidance_scale=7.5)
     rng = np.random.default_rng(11)
     mask = (rng.random((8, 8)) < 0.5).astype(np.uint8)
-    eps_fn = guided_eps_fn(0, 1, mask.astype(bool), cfg, sched, bump_models)
+    eps_fn = guided_eps_fn(0, 1, mask.astype(bool), cfg, sched, bump_models, (8, 8))
     from noisecutmix import cfg_combine, predict_noise
 
     for t in (1000, 512, 33):
