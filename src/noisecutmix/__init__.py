@@ -17,7 +17,7 @@ from .classifier import (
     soft_ce_loss,
     train,
 )
-from .classmodels import ClassModel, make_bump_dataset, predict_noise
+from .classmodels import ClassFamily, ClassModel, class_family, make_bump_dataset, predict_noise
 from .config import METHODS, ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, NumericalDivergence
 from .harness import ResultRow, ResultTable, export_grid, run_experiment, run_method
@@ -43,7 +43,7 @@ __all__ = [
     "AugmentPolicy", "apply_policy", "cutmix_pair", "mixup_pair",
     "MlpClassifier", "TrainConfig", "evaluate", "gradient", "init_classifier",
     "soft_ce_loss", "train",
-    "ClassModel", "make_bump_dataset", "predict_noise",
+    "ClassFamily", "ClassModel", "class_family", "make_bump_dataset", "predict_noise",
     "METHODS", "ExperimentConfig", "config_from_dict", "load_config",
     "ConfigError", "NumericalDivergence",
     "ResultRow", "ResultTable", "export_grid", "run_experiment", "run_method",

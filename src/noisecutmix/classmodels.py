@@ -111,47 +111,42 @@ def make_bump_dataset(
     return models, (images.reshape(-1, height, width), class_ids)
 
 
-def _step_params(t: int, sched: Schedule, models: list[ClassModel]):
-    if not models:
-        raise ValueError("model list must not be empty")
+@dataclass(frozen=True)
+class ClassFamily:
+    """The K class models stacked: class c is row c of every array."""
+
+    means: np.ndarray        # (K, H, W)
+    variances: np.ndarray    # (K, H, W)
+    log_weights: np.ndarray  # (K,)
+
+
+def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
+    """The stacked family of a list of class models with ids 0..K-1 in
+    order; a family is returned unchanged."""
+    if isinstance(models, ClassFamily):
+        return models
+    if not models or [m.class_id for m in models] != list(range(len(models))):
+        raise ValueError("class models must be a non-empty list with class ids 0..K-1 in order")
+    return ClassFamily(
+        np.stack([m.mean for m in models]),
+        np.stack([m.var for m in models]),
+        np.array([math.log(m.weight) for m in models]),
+    )
+
+
+def _step_params(t: int, sched: Schedule):
     if not (1 <= t <= sched.num_steps):
         raise ValueError(f"step index {t} outside [1, {sched.num_steps}]")
     ab = float(sched.alpha_bar[t])
     return ab, math.sqrt(ab), math.sqrt(1.0 - ab)
 
 
-def _log_class_densities(
-    x_t: np.ndarray,
-    t: int,
-    sched: Schedule,
-    models: list[ClassModel],
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """log(w_c) + log N(x_t; sqrt(abar_t) mu_c, v_c) for each class.
-
-    x_t may carry leading batch axes; densities are totals over the
-    trailing (H, W) axes. Returns shape (K,) + batch_shape. work, an
-    array of x_t's shape, holds each class's elementwise terms if given.
-    """
-    ab, sqrt_ab, _ = _step_params(t, sched, models)
-    out = []
-    for m in models:
-        v = ab * m.var + (1.0 - ab)
-        z = np.subtract(x_t, sqrt_ab * m.mean, out=work)
-        np.multiply(z, z, out=z)
-        np.divide(z, v, out=z)
-        np.add(np.log(v) + LOG_2PI, z, out=z)
-        ll = -0.5 * np.sum(z, axis=(-2, -1))
-        out.append(math.log(m.weight) + ll)
-    return np.stack(out, axis=0)
-
-
 def predict_noise(
     x_t: np.ndarray,
-    cond: int | None,
+    cond: int | np.ndarray | None,
     t: int,
     sched: Schedule,
-    models: list[ClassModel],
+    models: ClassFamily | list[ClassModel],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal noise estimate for x_t under the given condition.
@@ -163,51 +158,46 @@ def predict_noise(
     The mixture branch keeps its per-class terms in one array of x_t's
     shape that it allocates per call.
     """
+    family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
-    ab, sqrt_ab, sqrt_1mab = _step_params(t, sched, models)
+    ab, sqrt_ab, sqrt_1mab = _step_params(t, sched)
 
-    if cond is None and len(models) == 1:
+    if cond is None and len(family.means) == 1:
         # one-class mixture: responsibilities are identically 1
-        cond = models[0].class_id
+        cond = 0
     if cond is not None:
-        pos = {m.class_id: i for i, m in enumerate(models)}
-        ids = np.ravel(cond).tolist()
-        unknown = [c for c in ids if c not in pos]
-        if unknown:
-            raise ValueError(f"unknown class id {unknown[0]}")
-        if np.ndim(cond) == 0:
-            mean, var = models[pos[cond]].mean, models[pos[cond]].var
-        else:
-            # gather the stacked class parameters by id, one row per record
-            idx = [pos[c] for c in ids]
-            mean = np.stack([m.mean for m in models])[idx]
-            var = np.stack([m.var for m in models])[idx]
-        v = ab * var + (1.0 - ab)
-        eps = np.subtract(x_t, sqrt_ab * mean, out=out)
+        ids = np.asarray(cond)
+        unknown = ids[(ids < 0) | (ids >= len(family.means))]  # numpy would wrap -1
+        if unknown.size:
+            raise ValueError(f"unknown class id {unknown.flat[0]}")
+        # one row per record for an id array, one (H, W) grid for an int id
+        v = ab * family.variances[ids] + (1.0 - ab)
+        eps = np.subtract(x_t, sqrt_ab * family.means[ids], out=out)
         np.multiply(sqrt_1mab, eps, out=eps)
         return np.divide(eps, v, out=eps)
 
+    # log(w_c) + log N(x_t; sqrt(abar_t) mu_c, v_c) per class, totals over
+    # the trailing (H, W) axes, shape (K,) + batch shape
+    v = ab * family.variances + (1.0 - ab)
     work = np.empty_like(x_t)
-    log_dens = _log_class_densities(x_t, t, sched, models, work)
+    log_dens = []
+    for mean, v_c, log_w in zip(family.means, v, family.log_weights):
+        z = np.subtract(x_t, sqrt_ab * mean, out=work)
+        np.multiply(z, z, out=z)
+        np.divide(z, v_c, out=z)
+        np.add(np.log(v_c) + LOG_2PI, z, out=z)
+        ll = -0.5 * np.sum(z, axis=(-2, -1))
+        log_dens.append(log_w + ll)
+    log_dens = np.stack(log_dens, axis=0)
     log_dens -= log_dens.max(axis=0, keepdims=True)
     resp = np.exp(log_dens)
     resp /= resp.sum(axis=0, keepdims=True)
 
     eps = np.empty_like(x_t) if out is None else out
     eps.fill(0.0)
-    for r_c, m in zip(resp, models):
-        v = ab * m.var + (1.0 - ab)
-        term = np.subtract(x_t, sqrt_ab * m.mean, out=work)
+    for r_c, mean, v_c in zip(resp, family.means, v):
+        term = np.subtract(x_t, sqrt_ab * mean, out=work)
         np.multiply(r_c[..., None, None], term, out=term)
-        np.divide(term, v, out=term)
+        np.divide(term, v_c, out=term)
         np.add(eps, term, out=eps)
     return np.multiply(sqrt_1mab, eps, out=eps)
-
-
-def num_classes(models: list[ClassModel]) -> int:
-    return len(models)
-
-
-def grid_shape(models: list[ClassModel]) -> tuple[int, int]:
-    """(height, width) of the model grids."""
-    return models[0].mean.shape

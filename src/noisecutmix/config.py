@@ -18,20 +18,23 @@ from .errors import ConfigError
 from .recordio import open_atomic
 from .samplers import SAMPLER_KINDS
 
-METHODS = (
-    "original",
-    "cutmix",
-    "mixup",
-    "gen_random",
-    "gen_random+cutmix",
-    "gen_random+mixup",
-    "noisecutmix",
-)
+# name -> (generator, pixel policy). The generator is None or a
+# Provenance.method value ("single" or "noisecutmix"), the policy an
+# augment.POLICY_KINDS entry; trial_seed seeds by position in this order.
+METHODS = {
+    "original": (None, "none"),
+    "cutmix": (None, "cutmix"),
+    "mixup": (None, "mixup"),
+    "gen_random": ("single", "none"),
+    "gen_random+cutmix": ("single", "cutmix"),
+    "gen_random+mixup": ("single", "mixup"),
+    "noisecutmix": ("noisecutmix", "none"),
+}
 
 OUTPUT_DIR_ENV = "NOISECUTMIX_OUTDIR"
 
-# JSON value types a numeric field accepts; bool, an int subclass, never
-_NUMBER_TYPES = {"int": int, "float": (int, float)}
+# JSON value types a typed field accepts; bool, an int subclass, never
+_FIELD_TYPES = {"int": int, "float": (int, float), "str | None": (str, type(None))}
 
 
 @dataclass
@@ -70,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kinds = _NUMBER_TYPES.get(f.type)
+            kinds = _FIELD_TYPES.get(f.type)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.num_classes < 2:
@@ -88,9 +91,11 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be >= 0")
         if self.sampler_kind not in SAMPLER_KINDS:
             raise ConfigError(f"sampler_kind must be one of {SAMPLER_KINDS}")
+        if self.schedule_steps < 2:
+            raise ConfigError("schedule_steps must be >= 2")
         if not (1 <= self.num_inference_steps <= self.schedule_steps):
             raise ConfigError("num_inference_steps must lie in [1, schedule_steps]")
-        unknown = [m for m in self.methods if m not in METHODS]
+        unknown = [m for m in self.methods if not isinstance(m, str) or m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(METHODS)}")
         if not self.methods:
@@ -117,6 +122,12 @@ class ExperimentConfig:
             hidden=self.hidden_units,
             seed=seed,
         )
+
+    def augment_policy(self, method: str) -> AugmentPolicy:
+        """The pixel policy of a METHODS entry at this config's alpha and probability."""
+        kind = METHODS[method][1]
+        alpha = {"cutmix": self.cutmix_alpha, "mixup": self.mixup_alpha}.get(kind, 1.0)
+        return AugmentPolicy(kind, alpha, self.augment_probability)
 
     def resolved_output_dir(self, override: str | None = None) -> Path:
         if override:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentPolicy
 from .classifier import evaluate, train
 from .classmodels import ClassModel, make_bump_dataset
 from .config import METHODS, ExperimentConfig, dump_config
@@ -42,7 +41,7 @@ def derive_seed(*parts: int) -> int:
 
 
 def trial_seed(master_seed: int, method: str, trial: int) -> int:
-    return derive_seed(master_seed, METHODS.index(method), trial)
+    return derive_seed(master_seed, list(METHODS).index(method), trial)
 
 
 @dataclass
@@ -94,32 +93,25 @@ def generate_records(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, list[GenRecord]]:
     """(images (N, H, W), labels (N, K), records) of count >= 1 generated
-    records for a synthetic-data method, from one generate_batch call.
+    records for a method with a generator in METHODS, from one
+    generate_batch call.
 
-    gen_random draws one class per record uniformly; noisecutmix draws
-    the class pair uniformly without replacement. Each record's own
-    seed derives from (seed, record index).
+    The "single" generator draws one class per record uniformly; the
+    mixing one draws the class pair uniformly without replacement. Each
+    record's own seed derives from (seed, record index).
     """
+    generator = METHODS.get(method, (None,))[0]
+    if generator is None:
+        raise ValueError(f"method {method!r} does not generate records")
     sampler_cfg = SamplerConfig(cfg.sampler_kind, cfg.num_inference_steps, cfg.guidance_scale)
     pick_rng = child_rng(seed, _CLASS_PICK_STREAM)
     seeds = [derive_seed(seed, _RECORD_SEED_STREAM, i) for i in range(count)]
-    if method.startswith("gen_random"):
+    if generator == "single":
         classes = [int(pick_rng.integers(cfg.num_classes)) for _ in seeds]
         return generate_batch(classes, None, sampler_cfg, sched, models, seeds)
-    if method == "noisecutmix":
-        pairs = [pick_rng.choice(cfg.num_classes, size=2, replace=False).tolist() for _ in seeds]
-        class_a, class_b = [p[0] for p in pairs], [p[1] for p in pairs]
-        return generate_batch(class_a, class_b, sampler_cfg, sched, models, seeds,
-                              cfg.noisemix_alpha)
-    raise ValueError(f"method {method!r} does not generate records")
-
-
-def _method_policy(method: str, cfg: ExperimentConfig) -> AugmentPolicy:
-    if method in ("cutmix", "gen_random+cutmix"):
-        return AugmentPolicy("cutmix", cfg.cutmix_alpha, cfg.augment_probability)
-    if method in ("mixup", "gen_random+mixup"):
-        return AugmentPolicy("mixup", cfg.mixup_alpha, cfg.augment_probability)
-    return AugmentPolicy("none")
+    pairs = [pick_rng.choice(cfg.num_classes, size=2, replace=False).tolist() for _ in seeds]
+    class_a, class_b = [p[0] for p in pairs], [p[1] for p in pairs]
+    return generate_batch(class_a, class_b, sampler_cfg, sched, models, seeds, cfg.noisemix_alpha)
 
 
 def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
@@ -134,7 +126,7 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
     n_real = len(images)
     records: list[GenRecord] = []
     n_aug = int(round(cfg.augment_ratio * n_real))
-    if n_aug and method in ("gen_random", "gen_random+cutmix", "gen_random+mixup", "noisecutmix"):
+    if n_aug and METHODS[method][0]:
         gen_images, gen_labels, records = generate_records(method, cfg, models, sched, n_aug, seed)
         images = np.concatenate([images, gen_images])
         labels = np.concatenate([labels, gen_labels])
@@ -146,7 +138,7 @@ def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
     (test accuracy, the build_training_pool tuple it trained on)."""
     pool = build_training_pool(method, cfg, sched, seed)
     images, labels, synthetic, _ = pool
-    policy = _method_policy(method, cfg)
+    policy = cfg.augment_policy(method)
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, _ = train(images, labels, train_cfg, policy, synthetic)
     _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
@@ -166,16 +158,24 @@ def format_result_table(table: ResultTable) -> str:
 
 
 def parse_result_table(text: str) -> ResultTable:
+    """Parse and check a format_result_table text: every row holds a
+    method, at least one trial, mean and std; all rows hold the same
+    number of trials; the stored mean and std match the trials within
+    2e-6, the 6-decimal rounding of both sides. Raises ValueError."""
     rows = []
-    trials = 0
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
         cells = line.split("\t")
-        accs = [float(v) for v in cells[1:-2]]
-        trials = len(accs)
-        rows.append(ResultRow(method=cells[0], accuracies=accs))
-    return ResultTable(rows=rows, trials=trials)
+        if len(cells) < 4:
+            raise ValueError(f"result row {line!r} needs a method, trials, mean and std")
+        row = ResultRow(method=cells[0], accuracies=[float(v) for v in cells[1:-2]])
+        if rows and len(row.accuracies) != len(rows[0].accuracies):
+            raise ValueError(f"result rows {rows[0].method} and {row.method} differ in trials")
+        if not (abs(float(cells[-2]) - row.mean) <= 2e-6 and abs(float(cells[-1]) - row.std) <= 2e-6):
+            raise ValueError(f"stored aggregates for {row.method} do not match the trials")
+        rows.append(row)
+    return ResultTable(rows=rows, trials=len(rows[0].accuracies) if rows else 0)
 
 
 def mask_for_provenance(prov: Provenance, width: int, height: int) -> np.ndarray:

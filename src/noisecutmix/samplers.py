@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classmodels import ClassModel, grid_shape, num_classes, predict_noise
+from .classmodels import ClassFamily, ClassModel, class_family, predict_noise
 from .errors import NumericalDivergence
 from .mixing import (
     MaskSpec,
@@ -271,13 +271,14 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     The working (n, H, W) arrays are allocated once, before the first
     step, and every step writes into them: x and the noise estimate, the
     unconditional and class_a estimates when guiding or mixing, and for
-    DPM-Solver++(2M) one that receives the first update. There the data prediction overwrites the noise estimate
-    and each later update overwrites the previous prediction, so x, the
-    estimate and the previous prediction rotate through three arrays.
+    DPM-Solver++(2M) one that receives the first update. There the data
+    prediction overwrites the noise estimate and each later update
+    overwrites the previous prediction, so x, the estimate and the
+    previous prediction rotate through three arrays.
     """
-    h, w = grid_shape(models)
-    x = rng.standard_normal((n, h, w))
-    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, models, x.shape)
+    family = class_family(models)
+    x = rng.standard_normal((n,) + family.means.shape[1:])
+    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps)
     eps = np.empty_like(x)
     if cfg.kind == ANCESTRAL:
@@ -323,7 +324,7 @@ def generate_batch(
     class_b: list[int] | None,
     cfg: SamplerConfig,
     sched: Schedule,
-    models: list[ClassModel],
+    models: ClassFamily | list[ClassModel],
     seeds: list[int],
     alpha: float | None = None,
     force_lambda: float | None = None,
@@ -340,14 +341,14 @@ def generate_batch(
     the draw for degenerate and oracle tests; forcing never changes the
     trajectory randomness.
     """
-    h, w = grid_shape(models)
-    k = num_classes(models)
+    family = class_family(models)
+    k, h, w = family.means.shape
     specs, keep_a, cond_b = [_NO_MASK] * len(seeds), None, None
     if class_b is not None:
         specs = [_draw_mask(w, h, alpha, child_rng(s, _MASK_STREAM), force_lambda, force_mask)
                  for s in seeds]
         keep_a, cond_b = np.stack([s.mask for s in specs]).astype(bool), np.asarray(class_b)
-    images = run_reverse(np.asarray(class_a), cond_b, keep_a, cfg, sched, models,
+    images = run_reverse(np.asarray(class_a), cond_b, keep_a, cfg, sched, family,
                          _RecordStreams(seeds), len(seeds))
     records = []
     for i, (a, spec) in enumerate(zip(class_a, specs)):
@@ -434,14 +435,14 @@ def sample_noisecutmix_batch(
     mask: np.ndarray,
     cfg: SamplerConfig,
     sched: Schedule,
-    models: list[ClassModel],
+    models: ClassFamily | list[ClassModel],
     seed: int,
     n: int,
 ) -> np.ndarray:
     """n terminal mixed images sharing one fixed mask, shape (n, H, W)."""
-    h, w = grid_shape(models)
+    family = class_family(models)
     mask = np.asarray(mask, dtype=np.uint8)
-    if mask.shape != (h, w):
-        raise ValueError(f"mask must have shape {(h, w)}")
+    if mask.shape != family.means.shape[1:]:
+        raise ValueError(f"mask must have shape {family.means.shape[1:]}")
     rng = child_rng(seed, _TRAJ_STREAM)
-    return run_reverse(class_a, class_b, mask.astype(bool), cfg, sched, models, rng, n)
+    return run_reverse(class_a, class_b, mask.astype(bool), cfg, sched, family, rng, n)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from noisecutmix import ClassModel, make_bump_dataset, make_cosine_schedule, predict_noise
+from noisecutmix import (
+    ClassModel,
+    class_family,
+    make_bump_dataset,
+    make_cosine_schedule,
+    predict_noise,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracle: closed-form log mixture density and its finite-difference
@@ -183,6 +189,26 @@ def test_predictor_class_id_array_matches_int_calls():
         stacked = predict_noise(batch, cond, t, sched, models)
         single = np.stack([predict_noise(batch[i], int(c), t, sched, models) for i, c in enumerate(cond)])
         assert np.array_equal(stacked, single)
+
+
+def test_class_family_predicts_like_its_model_list():
+    sched = make_cosine_schedule(200)
+    models, _ = make_bump_dataset(3, 7, 5, 1.2, 0.3, seed=5, n_per_class=0)
+    models[1].weight = 0.5  # unequal mixture weights
+    family = class_family(models)
+    assert class_family(family) is family
+    batch = np.random.default_rng(8).standard_normal((4, 5, 7))
+    for cond in (None, 2, np.array([2, 0, 1, 2])):
+        for t in (1, 77, 200):
+            assert np.array_equal(predict_noise(batch, cond, t, sched, family),
+                                  predict_noise(batch, cond, t, sched, models))
+
+
+def test_class_family_rejects_bad_lists():
+    grid = np.zeros((3, 3)), np.ones((3, 3))
+    for models in ([], [ClassModel(1, *grid)], [ClassModel(1, *grid), ClassModel(0, *grid)]):
+        with pytest.raises(ValueError, match="class ids 0..K-1 in order"):
+            class_family(models)
 
 
 def test_predictor_validation():

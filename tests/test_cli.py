@@ -139,6 +139,25 @@ def test_report_rejects_short_provenance(tmp_path, cfg_path, capsys):
     assert "has 0 lines for 12 records" in capsys.readouterr().err
 
 
+def test_report_rejects_malformed_tables(tmp_path, capsys):
+    good = "# method\ttrial0\ttrial1\tmean\tstd\na\t0.500000\t0.700000\t0.600000\t0.141421\n"
+    for i, table in enumerate([
+        good + "foo\n",  # fewer than 4 cells
+        good + "b\t0.500000\t0.500000\t0.000000\n",  # 1 trial beside 2
+        good.replace("0.600000", "0.650000"),  # stored mean off
+        good.replace("0.141421", "0.100000"),  # stored std off
+        good.replace("0.141421", "nan"),
+    ]):
+        run = tmp_path / f"r{i}"
+        run.mkdir()
+        (run / "results.tsv").write_text(table)
+        assert main(["report", "--dir", str(run)]) == 2, table
+    (run / "results.tsv").write_text(good)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(run)]) == 0
+    assert capsys.readouterr().out == good
+
+
 def test_exit_code_invalid_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"trails": 2}))
@@ -154,6 +173,8 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"val_fraction": 1.5},
         {"n_train_per_class": -1},
         {"hidden_units": 0},
+        {"output_dir": 5},
+        {"schedule_steps": 1, "num_inference_steps": 1},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))

@@ -1,17 +1,21 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noisecutmix import (
+    AugmentPolicy,
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     load_config,
     make_cosine_schedule,
     run_experiment,
     run_method,
 )
-from noisecutmix import harness
+from noisecutmix import cli, harness
 from noisecutmix.config import METHODS
 from noisecutmix.harness import (
     build_models,
@@ -86,9 +90,16 @@ def test_config_rejects_bad_values():
         {"n_train_per_class": -1},
         {"hidden_units": 0},
         {"learning_rate": -1.0},
+        {"output_dir": 5},
+        {"schedule_steps": 1, "num_inference_steps": 1},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+
+def test_config_rejects_unhashable_method():
+    with pytest.raises(ConfigError, match="unknown methods"):
+        ExperimentConfig(methods=[["original"]])
 
 
 def test_config_file_round_trip(tmp_path):
@@ -106,10 +117,32 @@ def test_config_rejects_invalid_json(tmp_path):
 
 
 def test_method_registry_is_the_seven_rows():
-    assert METHODS == (
-        "original", "cutmix", "mixup", "gen_random",
-        "gen_random+cutmix", "gen_random+mixup", "noisecutmix",
-    )
+    # name -> (generator, pixel policy), in the order trial_seed seeds by
+    assert list(METHODS.items()) == [
+        ("original", (None, "none")),
+        ("cutmix", (None, "cutmix")),
+        ("mixup", (None, "mixup")),
+        ("gen_random", ("single", "none")),
+        ("gen_random+cutmix", ("single", "cutmix")),
+        ("gen_random+mixup", ("single", "mixup")),
+        ("noisecutmix", ("noisecutmix", "none")),
+    ]
+
+
+def test_method_policies_take_the_config_alphas():
+    cfg = ExperimentConfig(cutmix_alpha=0.7, mixup_alpha=0.3, augment_probability=0.25)
+    for method, (_, kind) in METHODS.items():
+        alpha = {"cutmix": 0.7, "mixup": 0.3}.get(kind, 1.0)
+        assert cfg.augment_policy(method) == AugmentPolicy(kind, alpha, 0.25), method
+
+
+def test_harness_and_cli_name_no_method():
+    # methods are data: both modules read METHODS instead of naming a method
+    for module in (harness, cli):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        named = [n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in METHODS]
+        assert named == [], module.__name__
 
 
 # ---------------------------------------------------------------------------
