@@ -8,6 +8,9 @@ bit-reproducible from the config seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,34 @@ _EPOCH_STREAM = 12
 _POLICY_STREAM = 13
 # how far a training label's row sum may sit from 1 (mixed labels round off)
 LABEL_SUM_TOL = 1e-9
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None,
+    looked up on first use through numpy.linalg's extension, which links it."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("get")):
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((name.format("get"), lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib)))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the process-wide count
+    after; a second thread only spins on products this small, saving no wall time."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda n: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass
@@ -210,6 +241,7 @@ def validation_split(
     return np.setdiff1d(np.arange(synthetic.size), val_idx), val_idx
 
 
+@_one_blas_thread()
 def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) -> float:
     """Top-1 accuracy against class ids; argmax ties break toward the lowest class index."""
     if len(images) == 0:
@@ -225,6 +257,7 @@ class EpochStats:
     val_accuracy: float
 
 
+@_one_blas_thread()
 def train(
     images: np.ndarray,
     labels: np.ndarray,

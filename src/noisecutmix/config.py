@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("augment_ratio must be >= 0")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
+        if self.n_test_per_class < 1:
+            raise ConfigError("n_test_per_class must be >= 1")
+        if self.num_classes * self.n_train_per_class < 10:
+            raise ConfigError("num_classes * n_train_per_class must be >= 10 (train's minimum)")
         if self.sampler_kind not in SAMPLER_KINDS:
             raise ConfigError(f"sampler_kind must be one of {SAMPLER_KINDS}")
         if self.schedule_steps < 2:
@@ -103,11 +107,9 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
         try:
-            # the validators of the dataset, trainer and policy a run builds, so bad
-            # values fail before any file is written; a count below 0 fails, none is drawn
-            n_check = min(self.n_train_per_class, self.n_test_per_class, 0)
+            # the dataset, trainer and policy validators: bad values fail before any write
             make_bump_dataset(self.num_classes, self.width, self.height, self.bump_sigma,
-                              self.noise_var, 0, n_check)
+                              self.noise_var, 0, 0)
             self.train_config()
             AugmentPolicy(probability=self.augment_probability)
         except ValueError as exc:

@@ -133,15 +133,14 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
     return images, labels, np.arange(len(images)) >= n_real, records
 
 
-def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
-    """Train one classifier under the method's protocol; returns
-    (test accuracy, the build_training_pool tuple it trained on)."""
+def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int, test_set: tuple):
+    """Train one classifier under the method's protocol and score it on test_set;
+    returns (test accuracy, the build_training_pool tuple it trained on)."""
     pool = build_training_pool(method, cfg, sched, seed)
     images, labels, synthetic, _ = pool
     policy = cfg.augment_policy(method)
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, _ = train(images, labels, train_cfg, policy, synthetic)
-    _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
     return evaluate(model, *test_set), pool
 
 
@@ -238,12 +237,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
 
     dump_config(cfg, out / "config.json")
     sched = make_cosine_schedule(cfg.schedule_steps)
+    _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
     rows = []
     for method in cfg.methods:
         accs = []
         for i in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, method, i)
-            acc, (images, labels, synthetic, records) = run_method(method, cfg, sched, seed)
+            acc, (images, labels, synthetic, records) = run_method(method, cfg, sched, seed, test_set)
             accs.append(acc)
             if records:
                 stem = f"{method}_t{i}"

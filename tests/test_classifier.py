@@ -15,6 +15,7 @@ from noisecutmix import (
     soft_ce_loss,
     train,
 )
+from noisecutmix import classifier
 from noisecutmix.classifier import _Adam, _loss_and_grads, validation_split
 from noisecutmix.samplers import child_rng
 
@@ -285,3 +286,57 @@ def test_evaluate_rejects_empty():
     model = init_classifier(4, 5, 3, seed=2)
     with pytest.raises(ValueError):
         evaluate(model, np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter; the count is 2 during the test and restored after."""
+    blas = classifier._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_train_and_evaluate_run_on_one_blas_thread(blas_threads, monkeypatch):
+    seen = []
+    real_loss_and_grads = classifier._loss_and_grads
+
+    def recording(*args, **kwargs):
+        seen.append(blas_threads())
+        return real_loss_and_grads(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "_loss_and_grads", recording)
+    images, labels = _separable_dataset()
+    model, _ = train(images, labels, TrainConfig(batch_size=8, epochs=2, hidden=4))
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+    seen.clear()
+    model.logits = lambda x: (seen.append(blas_threads()), MlpClassifier.logits(model, x))[1]
+    evaluate(model, images, np.argmax(labels, axis=1))
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_blas_thread_count_restored_when_train_raises(blas_threads):
+    images, labels = _separable_dataset()
+    labels[3] = [0.5, 0.6]
+    with pytest.raises(ValueError, match="labels must be"):
+        train(images, labels, TrainConfig(epochs=1))
+    assert blas_threads() == 2
+    with pytest.raises(ValueError, match="testset must not be empty"):
+        evaluate(init_classifier(4, 5, 3, seed=2), np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
+    assert blas_threads() == 2
+
+
+def test_train_without_openblas_is_unchanged(monkeypatch):
+    data = _separable_dataset()
+    cfg = TrainConfig(batch_size=8, epochs=3, hidden=4, seed=2)
+    m1, h1 = train(*data, cfg)
+    monkeypatch.setattr(classifier, "_openblas_threads", lambda: None)
+    m2, h2 = train(*data, cfg)
+    assert np.array_equal(m1.params, m2.params) and h1 == h2

@@ -175,6 +175,8 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"hidden_units": 0},
         {"output_dir": 5},
         {"schedule_steps": 1, "num_inference_steps": 1},
+        {"n_test_per_class": 0},
+        {"n_train_per_class": 2},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))

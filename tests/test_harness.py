@@ -92,6 +92,8 @@ def test_config_rejects_bad_values():
         {"learning_rate": -1.0},
         {"output_dir": 5},
         {"schedule_steps": 1, "num_inference_steps": 1},
+        {"n_test_per_class": 0},
+        {"n_train_per_class": 2},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -177,19 +179,23 @@ def test_unknown_method_fails_fast():
         build_training_pool("fancymix", cfg, sched, seed=0)
 
 
+def _test_set(cfg):
+    return harness._dataset(cfg, seed=99, n_per_class=cfg.n_test_per_class)[1]
+
+
 def test_method_determinism():
     cfg = tiny_config()
     sched = make_cosine_schedule(cfg.schedule_steps)
-    acc1, _ = run_method("original", cfg, sched, seed=11)
-    acc2, _ = run_method("original", cfg, sched, seed=11)
+    acc1, _ = run_method("original", cfg, sched, 11, _test_set(cfg))
+    acc2, _ = run_method("original", cfg, sched, 11, _test_set(cfg))
     assert acc1 == acc2
 
 
 def test_zero_ratio_noisecutmix_equals_original():
     cfg = tiny_config(augment_ratio=0.0)
     sched = make_cosine_schedule(cfg.schedule_steps)
-    acc_orig, _ = run_method("original", cfg, sched, seed=12)
-    acc_ncm, (*_, recs) = run_method("noisecutmix", cfg, sched, seed=12)
+    acc_orig, _ = run_method("original", cfg, sched, 12, _test_set(cfg))
+    acc_ncm, (*_, recs) = run_method("noisecutmix", cfg, sched, 12, _test_set(cfg))
     assert recs == []
     assert acc_orig == acc_ncm
 
