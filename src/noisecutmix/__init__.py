@@ -23,11 +23,9 @@ from .errors import ConfigError, NumericalDivergence
 from .harness import ResultRow, ResultTable, export_grid, run_experiment, run_method
 from .mixing import MaskSpec, mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
 from .samplers import (
-    GenRecord,
     Provenance,
     SamplerConfig,
-    generate_noisecutmix,
-    generate_single,
+    generate_batch,
     regenerate,
     sample_noisecutmix_batch,
     sample_single_batch,
@@ -48,8 +46,8 @@ __all__ = [
     "ConfigError", "NumericalDivergence",
     "ResultRow", "ResultTable", "export_grid", "run_experiment", "run_method",
     "MaskSpec", "mask_from_rect", "mix_labels", "one_hot", "sample_lambda", "sample_mask",
-    "GenRecord", "Provenance", "SamplerConfig", "generate_noisecutmix", "generate_single",
-    "regenerate", "sample_noisecutmix_batch", "sample_single_batch",
+    "Provenance", "SamplerConfig", "generate_batch", "regenerate",
+    "sample_noisecutmix_batch", "sample_single_batch",
     "step_ancestral", "step_dpm_pp_2m", "timestep_grid",
     "Schedule", "cfg_combine", "forward_noise", "make_cosine_schedule",
 ]

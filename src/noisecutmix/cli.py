@@ -34,7 +34,7 @@ from .recordio import (
     write_provenance,
     write_records,
 )
-from .samplers import GenRecord, child_rng
+from .samplers import child_rng
 from .schedule import make_cosine_schedule
 
 
@@ -49,12 +49,12 @@ def _cmd_generate(args) -> int:
     models = build_models(cfg)
     sched = make_cosine_schedule(cfg.schedule_steps)
     seed = cfg.master_seed if args.seed is None else args.seed
-    images, labels, records = generate_records(args.method, cfg, models, sched, args.count, seed)
+    images, labels, provs = generate_records(args.method, cfg, models, sched, args.count, seed)
     write_records(f"{args.out}.records", images, labels)
-    write_provenance(f"{args.out}.prov", records)
+    write_provenance(f"{args.out}.prov", provs)
     if args.pgm:
-        export_grid(records, f"{args.out}.pgm")
-    print(f"wrote {len(records)} records to {args.out}.records")
+        export_grid(images, provs, f"{args.out}.pgm")
+    print(f"wrote {len(provs)} records to {args.out}.records")
     return 0
 
 
@@ -112,16 +112,12 @@ def _cmd_report(args) -> int:
     sys.stdout.write(format_result_table(table))
     for records_path in sorted(out.glob("*_t0.records")):
         stem = records_path.name[: -len(".records")]
-        images, labels = read_records(records_path)
+        images, _ = read_records(records_path)
         provs = read_provenance(out / f"{stem}.prov")
         if len(provs) != len(images):
             raise ValueError(f"{stem}.prov has {len(provs)} lines for {len(images)} records")
-        records = [
-            GenRecord(image=images[i], label=labels[i], provenance=provs[i])
-            for i in range(min(8, len(images)))
-        ]
         method = stem[: -len("_t0")]
-        export_grid(records, out / f"{method}_montage.pgm")
+        export_grid(images[:8], provs[:8], out / f"{method}_montage.pgm")
         print(f"re-rendered {method}_montage.pgm")
     return 0
 

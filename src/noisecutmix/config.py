@@ -114,6 +114,12 @@ class ExperimentConfig:
             AugmentPolicy(probability=self.augment_probability)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # train's validation split of the real samples, as validation_split sizes it
+        n_real = self.num_classes * self.n_train_per_class
+        n_val = max(1, min(round(self.val_fraction * n_real), n_real - 1))
+        if n_real - n_val < self.num_classes:
+            raise ConfigError(f"{n_real - n_val} real training samples after the validation "
+                              f"split cannot cover {self.num_classes} classes")
 
     def train_config(self, seed: int = 0) -> TrainConfig:
         return TrainConfig(

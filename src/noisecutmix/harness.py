@@ -18,13 +18,7 @@ from .classmodels import ClassModel, make_bump_dataset
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
-from .samplers import (
-    GenRecord,
-    Provenance,
-    SamplerConfig,
-    child_rng,
-    generate_batch,
-)
+from .samplers import Provenance, SamplerConfig, child_rng, generate_batch
 from .schedule import Schedule, make_cosine_schedule
 
 _TRAIN_DATA_STREAM = 20
@@ -91,8 +85,8 @@ def generate_records(
     sched: Schedule,
     count: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, list[GenRecord]]:
-    """(images (N, H, W), labels (N, K), records) of count >= 1 generated
+) -> tuple[np.ndarray, np.ndarray, list[Provenance]]:
+    """(images (N, H, W), labels (N, K), provenances) of count >= 1 generated
     records for a method with a generator in METHODS, from one
     generate_batch call.
 
@@ -115,8 +109,8 @@ def generate_records(
 
 
 def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
-    """(images (N, H, W), labels (N, K), synthetic flags (N,), generated
-    records) for one method and trial seed; the real samples come first."""
+    """(images (N, H, W), labels (N, K), synthetic flags (N,), provenances
+    of the generated records) for one method and trial seed; the real samples come first."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {list(METHODS)}")
     models, (images, class_ids) = _dataset(
@@ -124,13 +118,13 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
     )
     labels = np.eye(cfg.num_classes)[class_ids]
     n_real = len(images)
-    records: list[GenRecord] = []
+    provs: list[Provenance] = []
     n_aug = int(round(cfg.augment_ratio * n_real))
     if n_aug and METHODS[method][0]:
-        gen_images, gen_labels, records = generate_records(method, cfg, models, sched, n_aug, seed)
+        gen_images, gen_labels, provs = generate_records(method, cfg, models, sched, n_aug, seed)
         images = np.concatenate([images, gen_images])
         labels = np.concatenate([labels, gen_labels])
-    return images, labels, np.arange(len(images)) >= n_real, records
+    return images, labels, np.arange(len(images)) >= n_real, provs
 
 
 def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int, test_set: tuple):
@@ -184,33 +178,29 @@ def mask_for_provenance(prov: Provenance, width: int, height: int) -> np.ndarray
     return mask_from_rect(width, height, prov.rect)
 
 
-def export_grid(records: list[GenRecord], path: str | Path) -> None:
-    """PGM montage: per record one row holding the image tile and, beside
-    it, the binary mask tile; 1-pixel separators; affine pixel mapping
-    recorded in the header comment."""
-    if not records:
-        raise ValueError("no records to export")
-    h, w = records[0].image.shape
-    lo = min(float(r.image.min()) for r in records)
-    hi = max(float(r.image.max()) for r in records)
+def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -> None:
+    """PGM montage of images (N, H, W): per record one row holding the
+    image tile and, beside it, the mask tile its provenance rebuilds;
+    1-pixel separators; affine pixel mapping recorded in the header
+    comment."""
+    if len(images) == 0 or len(images) != len(provs):
+        raise ValueError(f"need one provenance per image, got {len(provs)} for {len(images)}")
+    _, h, w = images.shape
+    lo, hi = float(images.min()), float(images.max())
     span = hi - lo
+    if span > 0:
+        tiles = np.round((images - lo) / span * 255.0).astype(np.uint8)
+    else:
+        tiles = np.zeros(images.shape, dtype=np.uint8)
     sep = np.uint8(128)
     rows = []
     comments = [f"image map: lo={lo!r} hi={hi!r} -> 0..255", "mask tile: 0=cut 255=keep"]
-    for i, rec in enumerate(records):
-        if span > 0:
-            tile = np.round((rec.image - lo) / span * 255.0).astype(np.uint8)
-        else:
-            tile = np.zeros((h, w), dtype=np.uint8)
-        mask = rec.mask
-        if mask is None:
-            mask = mask_for_provenance(rec.provenance, w, h)
-        mask_tile = (mask.astype(np.uint8) * 255).astype(np.uint8)
+    for i, (tile, p) in enumerate(zip(tiles, provs)):
+        mask_tile = mask_for_provenance(p, w, h) * np.uint8(255)
         row = np.concatenate([tile, np.full((h, 1), sep), mask_tile], axis=1)
         rows.append(row)
-        if i < len(records) - 1:
+        if i < len(provs) - 1:
             rows.append(np.full((1, row.shape[1]), sep))
-        p = rec.provenance
         comments.append(
             f"rec {i}: method={p.method} class_a={p.class_a} class_b={p.class_b} "
             f"lambda_real={p.lambda_real!r} seed={p.seed}"
@@ -243,14 +233,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
         accs = []
         for i in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, method, i)
-            acc, (images, labels, synthetic, records) = run_method(method, cfg, sched, seed, test_set)
+            acc, (images, labels, synthetic, provs) = run_method(method, cfg, sched, seed, test_set)
             accs.append(acc)
-            if records:
+            if provs:
                 stem = f"{method}_t{i}"
                 write_records(out / f"{stem}.records", images[synthetic], labels[synthetic])
-                write_provenance(out / f"{stem}.prov", records)
+                write_provenance(out / f"{stem}.prov", provs)
                 if i == 0:
-                    export_grid(records[: min(8, len(records))], out / f"{method}_montage.pgm")
+                    export_grid(images[synthetic][:8], provs[:8], out / f"{method}_montage.pgm")
         rows.append(ResultRow(method=method, accuracies=accs))
     table = ResultTable(rows=rows, trials=cfg.trials)
     with open_atomic(out / "results.tsv") as f:

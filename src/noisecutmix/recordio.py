@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import EpochStats, MlpClassifier
-from .samplers import GenRecord, Provenance
+from .samplers import Provenance
 
 RECORD_MAGIC = "NCMREC1"
 MODEL_MAGIC = "NCMMLP1"
@@ -108,11 +108,10 @@ _PROV_COLUMNS = (
 ).split()
 
 
-def write_provenance(path: str | Path, records: list[GenRecord]) -> None:
+def write_provenance(path: str | Path, provs: list[Provenance]) -> None:
     """Tab-delimited sidecar, one line per record, '-' for absent fields."""
     lines = ["# " + "\t".join(_PROV_COLUMNS)]
-    for i, rec in enumerate(records):
-        p = rec.provenance
+    for i, p in enumerate(provs):
         rect = p.rect if p.rect is not None else (None, None, None, None)
         fields = [
             i, p.method, p.class_a, p.class_b, p.lambda_sampled, p.lambda_real,

@@ -3,35 +3,25 @@
 One core, run_reverse, integrates a batch over a leading record axis.
 A record follows one class condition (random generation) or two whose
 guided noise estimates are mixed through a fixed binary mask at every
-step (NoiseCutMix). generate_batch makes records with provenance on it;
-generate_single, generate_noisecutmix, regenerate and sample_*_batch
-are thin wrappers.
+step (NoiseCutMix). generate_batch makes records and their provenance;
+regenerate and sample_*_batch are thin wrappers.
 
 Every record derives its randomness from an integer seed through two
 independent child streams, one for mask/ratio draws and one for the
 trajectory, so a record is reproducible bit-exactly from its
-provenance, alone or in any batch, and forcing the mask never perturbs
-the trajectory draws.
+provenance, alone or in any batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classmodels import ClassFamily, ClassModel, class_family, predict_noise
 from .errors import NumericalDivergence
-from .mixing import (
-    MaskSpec,
-    mask_from_rect,
-    mix_labels,
-    one_hot,
-    realized_lambda,
-    sample_lambda,
-    sample_mask,
-)
+from .mixing import mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
 from .schedule import Schedule, cfg_combine
 
 ANCESTRAL = "ancestral"
@@ -40,8 +30,6 @@ SAMPLER_KINDS = (ANCESTRAL, DPM_PP_2M)
 
 _MASK_STREAM = 0
 _TRAJ_STREAM = 1
-# a single-class record: no mask, the whole grid is class A
-_NO_MASK = MaskSpec(lambda_sampled=math.nan, rect=None, mask=None, lambda_real=1.0)
 
 
 @dataclass
@@ -75,14 +63,6 @@ class Provenance:
     steps: int
     guidance: float
     alpha: float | None
-
-
-@dataclass
-class GenRecord:
-    image: np.ndarray      # (H, W)
-    label: np.ndarray      # (K,) simplex vector
-    provenance: Provenance
-    mask: np.ndarray | None = field(default=None, repr=False)
 
 
 def child_rng(seed: int, stream: int) -> np.random.Generator:
@@ -297,28 +277,6 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     return x
 
 
-def _draw_mask(width: int, height: int, alpha: float, rng: np.random.Generator,
-               force_lambda: float | None, force_mask: np.ndarray | None) -> MaskSpec:
-    if force_mask is not None:
-        mask = np.asarray(force_mask, dtype=np.uint8)
-        if mask.shape != (height, width):
-            raise ValueError(f"forced mask must have shape {(height, width)}")
-        return MaskSpec(
-            lambda_sampled=math.nan, rect=None, mask=mask, lambda_real=realized_lambda(mask)
-        )
-    if force_lambda is not None:
-        if not (0.0 <= force_lambda <= 1.0):
-            raise ValueError("forced lambda must lie in [0, 1]")
-        if force_lambda == 0.0:
-            # degenerate full cut: the whole grid belongs to class B
-            rect = (width / 2.0, height / 2.0, float(width), float(height))
-            mask = mask_from_rect(width, height, rect)
-            return MaskSpec(lambda_sampled=0.0, rect=rect, mask=mask, lambda_real=0.0)
-        return sample_mask(width, height, force_lambda, rng)
-    lam = sample_lambda(alpha, rng)
-    return sample_mask(width, height, lam, rng)
-
-
 def generate_batch(
     class_a: list[int],
     class_b: list[int] | None,
@@ -327,92 +285,60 @@ def generate_batch(
     models: ClassFamily | list[ClassModel],
     seeds: list[int],
     alpha: float | None = None,
-    force_lambda: float | None = None,
-    force_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[GenRecord]]:
+) -> tuple[np.ndarray, np.ndarray, list[Provenance]]:
     """One record per seed from one core call: (images (N, H, W), labels
-    (N, K), records).
+    (N, K), provenances).
 
     With class_b None, record i is conditioned on class_a[i] alone and
     has a one-hot label. Otherwise it mixes the noise estimates of
     class_a[i] and class_b[i] through a mask drawn once from its seed's
-    mask stream and held fixed across all steps; its soft label uses the
-    realized (post-clipping) area ratio. force_lambda / force_mask bypass
-    the draw for degenerate and oracle tests; forcing never changes the
-    trajectory randomness.
+    mask stream (a Beta(alpha, alpha) ratio, then the cut rectangle) and
+    held fixed across all steps; its soft label uses the realized
+    (post-clipping) area ratio. Each provenance regenerates its record.
     """
     family = class_family(models)
     k, h, w = family.means.shape
-    specs, keep_a, cond_b = [_NO_MASK] * len(seeds), None, None
-    if class_b is not None:
-        specs = [_draw_mask(w, h, alpha, child_rng(s, _MASK_STREAM), force_lambda, force_mask)
-                 for s in seeds]
-        keep_a, cond_b = np.stack([s.mask for s in specs]).astype(bool), np.asarray(class_b)
-    images = run_reverse(np.asarray(class_a), cond_b, keep_a, cfg, sched, family,
+    settings = dict(sampler=cfg.kind, steps=cfg.num_inference_steps,
+                    guidance=cfg.guidance_scale, alpha=alpha)
+    if class_b is None:
+        provs = [Provenance("single", a, None, None, 1.0, None, s, **settings)
+                 for a, s in zip(class_a, seeds)]
+        labels = np.stack([one_hot(a, k) for a in class_a])
+        keep_a = None
+    else:
+        provs = []
+        for a, b, s in zip(class_a, class_b, seeds):
+            rng = child_rng(s, _MASK_STREAM)
+            spec = sample_mask(w, h, sample_lambda(alpha, rng), rng)
+            provs.append(Provenance("noisecutmix", a, b, spec.lambda_sampled, spec.lambda_real,
+                                    spec.rect, s, **settings))
+        labels = np.stack([mix_labels(p.class_a, p.class_b, p.lambda_real, k) for p in provs])
+        keep_a = mask_from_rect(w, h, [p.rect for p in provs]).astype(bool)
+        class_b = np.asarray(class_b)
+    images = run_reverse(np.asarray(class_a), class_b, keep_a, cfg, sched, family,
                          _RecordStreams(seeds), len(seeds))
-    records = []
-    for i, (a, spec) in enumerate(zip(class_a, specs)):
-        b = None if class_b is None else class_b[i]
-        prov = Provenance(
-            method="single" if b is None else "noisecutmix",
-            class_a=a,
-            class_b=b,
-            lambda_sampled=None if math.isnan(spec.lambda_sampled) else spec.lambda_sampled,
-            lambda_real=spec.lambda_real,
-            rect=spec.rect,
-            seed=seeds[i],
-            sampler=cfg.kind,
-            steps=cfg.num_inference_steps,
-            guidance=cfg.guidance_scale,
-            alpha=alpha,
-        )
-        label = one_hot(a, k) if b is None else mix_labels(a, b, spec.lambda_real, k)
-        records.append(GenRecord(images[i], label, prov, spec.mask))
-    return images, np.stack([r.label for r in records]), records
+    return images, labels, provs
 
 
-def generate_single(
-    cond: int,
-    cfg: SamplerConfig,
-    sched: Schedule,
-    models: list[ClassModel],
-    seed: int,
-) -> GenRecord:
-    """Generate one image conditioned on a single class; one-hot label."""
-    return generate_batch([cond], None, cfg, sched, models, [seed])[2][0]
-
-
-def generate_noisecutmix(
-    class_a: int,
-    class_b: int,
-    cfg: SamplerConfig,
-    sched: Schedule,
-    models: list[ClassModel],
-    alpha: float,
-    seed: int,
-    force_lambda: float | None = None,
-    force_mask: np.ndarray | None = None,
-) -> GenRecord:
-    """Generate one image mixing the noise estimates of two classes."""
-    return generate_batch(
-        [class_a], [class_b], cfg, sched, models, [seed], alpha, force_lambda, force_mask
-    )[2][0]
-
-
-def regenerate(prov: Provenance, sched: Schedule, models: list[ClassModel]) -> GenRecord:
-    """Rebuild a record from its provenance (bit-exact for unforced records)."""
+def regenerate(
+    prov: Provenance, sched: Schedule, models: ClassFamily | list[ClassModel]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A record's (image (H, W), label (K,)), rebuilt bit-exactly from its provenance."""
     cfg = SamplerConfig(
         kind=prov.sampler, num_inference_steps=prov.steps, guidance_scale=prov.guidance
     )
     if prov.method == "single":
-        return generate_single(prov.class_a, cfg, sched, models, prov.seed)
-    if prov.method == "noisecutmix":
+        class_b = None
+    elif prov.method == "noisecutmix":
         if prov.class_b is None or prov.alpha is None:
             raise ValueError("noisecutmix provenance requires class_b and alpha")
-        return generate_noisecutmix(
-            prov.class_a, prov.class_b, cfg, sched, models, prov.alpha, prov.seed
-        )
-    raise ValueError(f"unknown generation method {prov.method!r}")
+        class_b = [prov.class_b]
+    else:
+        raise ValueError(f"unknown generation method {prov.method!r}")
+    images, labels, _ = generate_batch(
+        [prov.class_a], class_b, cfg, sched, models, [prov.seed], prov.alpha
+    )
+    return images[0], labels[0]
 
 
 def sample_single_batch(

@@ -18,8 +18,6 @@ import pytest
 from noisecutmix import (
     SamplerConfig,
     config_from_dict,
-    generate_noisecutmix,
-    generate_single,
     make_bump_dataset,
     make_cosine_schedule,
     mix_labels,
@@ -114,15 +112,15 @@ def test_criterion_2_collapse():
     for kind in ("ancestral", "dpm_solver_pp_2m"):
         cfg = SamplerConfig(kind=kind, num_inference_steps=10, guidance_scale=7.5)
         for seed in range(20):
-            mix_a = generate_noisecutmix(0, 1, cfg, sched, models, 1.0, seed, force_mask=ones)
-            single_a = generate_single(0, cfg, sched, models, seed)
-            assert np.array_equal(mix_a.image, single_a.image), (kind, seed, "all-ones")
-            mix_b = generate_noisecutmix(0, 1, cfg, sched, models, 1.0, seed, force_mask=zeros)
-            single_b = generate_single(1, cfg, sched, models, seed)
-            assert np.array_equal(mix_b.image, single_b.image), (kind, seed, "all-zeros")
+            mix_a = sample_noisecutmix_batch(0, 1, ones, cfg, sched, models, seed, 1)
+            single_a = sample_single_batch(0, cfg, sched, models, seed, 1)
+            assert np.array_equal(mix_a, single_a), (kind, seed, "all-ones")
+            mix_b = sample_noisecutmix_batch(0, 1, zeros, cfg, sched, models, seed, 1)
+            single_b = sample_single_batch(1, cfg, sched, models, seed, 1)
+            assert np.array_equal(mix_b, single_b), (kind, seed, "all-zeros")
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    _report(2, "forced all-ones/all-zeros masks collapse bit-exactly, 20 seeds x 2 samplers", elapsed)
+    _report(2, "all-ones/all-zeros masks collapse bit-exactly, 20 seeds x 2 samplers", elapsed)
 
 
 # ---------------------------------------------------------------------------

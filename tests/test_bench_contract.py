@@ -1,0 +1,88 @@
+"""The benchmark's use of the package, at small sizes.
+
+bench/ reaches into the package by name: its workloads call the public
+API and the CLI, and its tracer wraps functions in the modules that call
+them. A name the benchmark uses that the package drops would otherwise
+show only as failed benchmark operations or per-layer metrics that read
+zero; here it fails a test. The bench files are imported as they are.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str, as_name: str):
+    spec = importlib.util.spec_from_file_location(as_name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[as_name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# bench/run.py imports these two by their bare names
+workloads = _load("workloads", "workloads")
+tracer = _load("tracer", "tracer")
+PKG = _load("run", "bench_run").load_package()
+
+# spans the tiny experiment below must record, by the tracer's names
+TRACED_SPANS = (
+    "classmodels.predict_noise.cond",
+    "classmodels.predict_noise.mixture",
+    "samplers.step_dpm_pp_2m",
+    "mixing.sample_mask",
+    "mixing.sample_lambda",
+    "augment.apply_policy",
+    "classifier.train",
+    "classifier.evaluate",
+    "harness.run_method",
+    "recordio.write",
+)
+
+
+class SmallSampleBatch(workloads.SampleBatch):
+    n_stationary = 8
+    n_mixed = 8
+
+
+class TinyExperiment(workloads.CliExperiment):
+    config = {
+        "num_classes": 2, "width": 8, "height": 8, "bump_sigma": 1.5, "noise_var": 0.4,
+        "n_train_per_class": 6, "n_test_per_class": 10, "schedule_steps": 60,
+        "num_inference_steps": 6, "epochs": 2, "hidden_units": 8, "trials": 1,
+        "methods": ["original", "cutmix", "gen_random", "noisecutmix"],
+    }
+
+
+def test_sample_batch_prepares_and_runs(tmp_path):
+    workload = SmallSampleBatch(PKG, 0, tmp_path)
+    workload.prepare()
+    stationary, mixed = workload.run(tmp_path / "out")
+    assert stationary.shape == (8, 8, 8) and mixed.shape == (8, 16, 16)
+    assert np.all(np.isfinite(stationary)) and np.all(np.isfinite(mixed))
+    assert set(workload.digest(tmp_path / "out", (stationary, mixed))) == {"stationary", "mixed"}
+
+
+def test_cli_experiment_runs_passes_checks_and_is_traced(tmp_path):
+    workload = TinyExperiment(PKG, 0, tmp_path)
+    workload.prepare()
+    out = tmp_path / "out"
+    spans = tracer.Tracer()
+    spans.install(tracer.targets(PKG))
+    try:
+        result = workload.run(out, spans.span)
+    finally:
+        spans.uninstall()
+    checks = workload.check(out, result)
+    assert result == 0
+    assert [name for name, ok in checks if not ok] == []
+    names = {name for name, _ in checks}
+    assert {"results_aggregates", "gen_random_t0.records:labels",
+            "noisecutmix_t0.records:labels"} <= names
+    assert "results.tsv" in workload.digest(out, result)
+    summary = spans.summary()
+    assert [s for s in TRACED_SPANS if summary.get(s, {"calls": 0})["calls"] == 0] == []

@@ -177,6 +177,9 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"schedule_steps": 1, "num_inference_steps": 1},
         {"n_test_per_class": 0},
         {"n_train_per_class": 2},
+        {"num_classes": 10, "n_train_per_class": 1, "methods": ["original"], "trials": 1},
+        {"num_classes": 2, "n_train_per_class": 5, "val_fraction": 0.9,
+         "methods": ["original"], "trials": 1},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))

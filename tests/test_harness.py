@@ -94,6 +94,9 @@ def test_config_rejects_bad_values():
         {"schedule_steps": 1, "num_inference_steps": 1},
         {"n_test_per_class": 0},
         {"n_train_per_class": 2},
+        # the validation split leaves fewer real training samples than classes
+        {"num_classes": 10, "n_train_per_class": 1},
+        {"num_classes": 2, "n_train_per_class": 5, "val_fraction": 0.9},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -156,20 +159,20 @@ def test_gen_random_pool_size_counts():
     # ratio 1.0 doubles a 2-class 10-per-class set to 40 before the split
     cfg = tiny_config(n_train_per_class=10, augment_ratio=1.0)
     sched = make_cosine_schedule(cfg.schedule_steps)
-    images, labels, synthetic, records = build_training_pool("gen_random", cfg, sched, seed=3)
+    images, labels, synthetic, provs = build_training_pool("gen_random", cfg, sched, seed=3)
     assert images.shape == (40, 8, 8) and labels.shape == (40, 2)
-    assert np.array_equal(synthetic, np.arange(40) >= 20) and len(records) == 20
+    assert np.array_equal(synthetic, np.arange(40) >= 20) and len(provs) == 20
     assert all(label.sum() == 1.0 and (label == 1.0).sum() == 1 for label in labels[20:])
 
 
 def test_noisecutmix_pool_has_soft_labels_and_distinct_pairs():
     cfg = tiny_config()
     sched = make_cosine_schedule(cfg.schedule_steps)
-    _, _, _, records = build_training_pool("noisecutmix", cfg, sched, seed=4)
-    assert len(records) == 12
-    for rec in records:
-        assert rec.provenance.class_a != rec.provenance.class_b
-        assert abs(rec.label.sum() - 1.0) <= 1e-12
+    _, labels, synthetic, provs = build_training_pool("noisecutmix", cfg, sched, seed=4)
+    assert len(provs) == 12
+    for prov, label in zip(provs, labels[synthetic], strict=True):
+        assert prov.class_a != prov.class_b
+        assert abs(label.sum() - 1.0) <= 1e-12
 
 
 def test_unknown_method_fails_fast():
@@ -195,8 +198,8 @@ def test_zero_ratio_noisecutmix_equals_original():
     cfg = tiny_config(augment_ratio=0.0)
     sched = make_cosine_schedule(cfg.schedule_steps)
     acc_orig, _ = run_method("original", cfg, sched, 12, _test_set(cfg))
-    acc_ncm, (*_, recs) = run_method("noisecutmix", cfg, sched, 12, _test_set(cfg))
-    assert recs == []
+    acc_ncm, (*_, provs) = run_method("noisecutmix", cfg, sched, 12, _test_set(cfg))
+    assert provs == []
     assert acc_orig == acc_ncm
 
 
@@ -206,12 +209,12 @@ def test_ancestral_batch_records_regenerate_bit_exactly(method):
     cfg = tiny_config(sampler_kind="ancestral", num_classes=3)
     sched = make_cosine_schedule(cfg.schedule_steps)
     models = build_models(cfg)
-    images, labels, records = generate_records(method, cfg, models, sched, 7, seed=9)
+    images, labels, provs = generate_records(method, cfg, models, sched, 7, seed=9)
     assert images.shape == (7, 8, 8) and labels.shape == (7, 3)
-    for image, label, rec in zip(images, labels, records):
-        again = regenerate(rec.provenance, sched, models)
-        assert np.array_equal(again.image, image)
-        assert np.array_equal(again.label, label)
+    for image, label, prov in zip(images, labels, provs, strict=True):
+        again_image, again_label = regenerate(prov, sched, models)
+        assert np.array_equal(again_image, image)
+        assert np.array_equal(again_label, label)
 
 
 def test_trial_seeds_differ_by_method_and_index():
@@ -254,16 +257,18 @@ def test_experiment_aggregates_recomputable(experiment_dir):
 
 
 def test_experiment_provenance_regenerates_bit_exactly(experiment_dir):
+    # every stored record, image and label, from its provenance line alone
     out, cfg, _ = experiment_dir
     sched = make_cosine_schedule(cfg.schedule_steps)
-    images, _ = read_records(out / "noisecutmix_t0.records")
-    provs = read_provenance(out / "noisecutmix_t0.prov")
-    from noisecutmix.harness import build_models
-
     models = build_models(cfg)
-    for i in (0, len(provs) - 1):
-        rec = regenerate(provs[i], sched, models)
-        assert np.array_equal(rec.image, images[i])
+    for stem in ("noisecutmix_t0", "gen_random_t0"):
+        images, labels = read_records(out / f"{stem}.records")
+        provs = read_provenance(out / f"{stem}.prov")
+        assert len(provs) == len(images) > 0
+        for image, label, prov in zip(images, labels, provs, strict=True):
+            again_image, again_label = regenerate(prov, sched, models)
+            assert np.array_equal(again_image, image), (stem, prov)
+            assert np.array_equal(again_label, label), (stem, prov)
 
 
 def test_experiment_byte_identical_rerun(tmp_path):
@@ -328,12 +333,13 @@ def test_result_table_format_round_trip():
 
 def test_montage_single_record_layout(tmp_path):
     sched = make_cosine_schedule(60)
-    from noisecutmix import SamplerConfig, generate_single, make_bump_dataset
+    from noisecutmix import SamplerConfig, generate_batch, make_bump_dataset
 
     models, _ = make_bump_dataset(2, 8, 8, 1.5, 0.25, seed=0, n_per_class=0)
-    rec = generate_single(0, SamplerConfig(num_inference_steps=6), sched, models, seed=0)
+    images, _, provs = generate_batch([0], None, SamplerConfig(num_inference_steps=6), sched,
+                                      models, [0])
     path = tmp_path / "one.pgm"
-    export_grid([rec], path)
+    export_grid(images, provs, path)
     pixels, comments = read_pgm(path)
     # image tile + 1px separator + mask tile
     assert pixels.shape == (8, 17)
@@ -344,25 +350,29 @@ def test_montage_single_record_layout(tmp_path):
 
 def test_montage_layout_arithmetic(tmp_path):
     sched = make_cosine_schedule(60)
-    from noisecutmix import SamplerConfig, generate_noisecutmix, make_bump_dataset
+    from noisecutmix import SamplerConfig, generate_batch, make_bump_dataset, mask_from_rect
 
     models, _ = make_bump_dataset(2, 8, 8, 1.5, 0.25, seed=0, n_per_class=0)
     cfg = SamplerConfig(num_inference_steps=6)
-    records = [
-        generate_noisecutmix(0, 1, cfg, sched, models, 1.0, seed=s) for s in range(4)
-    ]
+    images, _, provs = generate_batch([0] * 4, [1] * 4, cfg, sched, models, list(range(4)), 1.0)
     path = tmp_path / "four.pgm"
-    export_grid(records, path)
+    export_grid(images, provs, path)
     pixels, _ = read_pgm(path)
     n, h, w = 4, 8, 8
     assert pixels.shape == (n * h + (n - 1), 2 * w + 1)
     # mask tiles carry at most the two mask gray levels
-    for i, rec in enumerate(records):
+    for i, prov in enumerate(provs):
         tile = pixels[i * (h + 1) : i * (h + 1) + h, w + 1 :]
         assert set(np.unique(tile)) <= {0, 255}
-        assert np.array_equal(tile == 255, rec.mask.astype(bool))
+        assert np.array_equal(tile == 255, mask_from_rect(w, h, prov.rect).astype(bool))
 
 
-def test_montage_rejects_empty():
+def test_montage_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        export_grid([], "/tmp/never.pgm")
+        export_grid(np.empty((0, 4, 4)), [], tmp_path / "never.pgm")
+    cfg = tiny_config()
+    images, _, provs = generate_records("gen_random", cfg, build_models(cfg),
+                                        make_cosine_schedule(cfg.schedule_steps), 2, seed=0)
+    with pytest.raises(ValueError, match="one provenance per image"):
+        export_grid(images, provs[:1], tmp_path / "never.pgm")
+    assert not (tmp_path / "never.pgm").exists()

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisecutmix import (
-    GenRecord,
     Provenance,
     SamplerConfig,
-    generate_noisecutmix,
-    generate_single,
+    generate_batch,
     init_classifier,
     make_bump_dataset,
     make_cosine_schedule,
@@ -30,33 +28,30 @@ from noisecutmix.recordio import (
 
 @pytest.fixture(scope="module")
 def records():
+    """(images, labels, provenances) of one single-class and two mixed records."""
     sched = make_cosine_schedule(200)
     models, _ = make_bump_dataset(2, 8, 8, 1.5, 0.25, seed=0, n_per_class=0)
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=8)
-    return [
-        generate_single(0, cfg, sched, models, seed=1),
-        generate_noisecutmix(0, 1, cfg, sched, models, 1.0, seed=2),
-        generate_noisecutmix(1, 0, cfg, sched, models, 0.4, seed=3),
-    ]
-
-
-def record_arrays(records):
-    return np.stack([r.image for r in records]), np.stack([r.label for r in records])
+    images, labels, provs = zip(
+        generate_batch([0], None, cfg, sched, models, [1]),
+        generate_batch([0], [1], cfg, sched, models, [2], 1.0),
+        generate_batch([1], [0], cfg, sched, models, [3], 0.4),
+    )
+    return np.concatenate(images), np.concatenate(labels), [p for batch in provs for p in batch]
 
 
 def test_records_round_trip(tmp_path, records):
     path = tmp_path / "batch.records"
-    write_records(path, *record_arrays(records))
+    write_records(path, *records[:2])
     images, labels = read_records(path)
     assert images.shape == (3, 8, 8) and labels.shape == (3, 2)
-    for i, rec in enumerate(records):
-        assert np.array_equal(images[i], rec.image)
-        assert np.array_equal(labels[i], rec.label)
+    assert np.array_equal(images, records[0])
+    assert np.array_equal(labels, records[1])
 
 
 def test_records_header(tmp_path, records):
     path = tmp_path / "batch.records"
-    write_records(path, *record_arrays(records))
+    write_records(path, *records[:2])
     header = path.read_bytes().split(b"\n", 1)[0]
     assert header == b"NCMREC1 8 8 2 3"
 
@@ -124,16 +119,15 @@ def test_records_round_trip_random_arrays(tmp_path_factory, shape, data):
 
 def test_provenance_round_trip(tmp_path, records):
     path = tmp_path / "batch.prov"
-    write_provenance(path, records)
+    write_provenance(path, records[2])
     provs = read_provenance(path)
     assert len(provs) == 3
-    for rec, prov in zip(records, provs):
-        assert prov == rec.provenance  # floats round-trip exactly via repr
+    assert provs == records[2]  # floats round-trip exactly via repr
 
 
 def test_provenance_rejects_partly_given_rect(tmp_path, records):
     path = tmp_path / "batch.prov"
-    write_provenance(path, records)
+    write_provenance(path, records[2])
     lines = path.read_text(encoding="ascii").splitlines()
     fields = lines[2].split("\t")
     assert "-" not in fields[6:10]
@@ -286,15 +280,14 @@ def test_classifier_rejects_bad_files(tmp_path, content):
 def test_failed_write_leaves_no_file(tmp_path, records, writer):
     # the non-ASCII text fails to encode once the write has begun (for the PGM, mid-payload)
     path = tmp_path / "artifact"
-    prov = vars(records[0].provenance)
-    bad = GenRecord(image=records[0].image, label=records[0].label,
-                    provenance=Provenance(**{**prov, "method": "caf\u00e9"}))
+    good = records[2][0]
+    bad = Provenance(**{**vars(good), "method": "caf\u00e9"})
 
     def write():
         if writer == "pgm":
             write_pgm(path, np.zeros((2, 2), dtype=np.uint8), comments=["ok", "caf\u00e9"])
         else:
-            write_provenance(path, [records[0], bad])
+            write_provenance(path, [good, bad])
 
     with pytest.raises(UnicodeEncodeError):
         write()
@@ -319,7 +312,6 @@ def test_offline_record_construction(tmp_path):
         method="offline", class_a=1, class_b=None, lambda_sampled=None,
         lambda_real=1.0, rect=None, seed=0, sampler="-", steps=0, guidance=0.0, alpha=None,
     )
-    rec = GenRecord(image=np.zeros((4, 4)), label=np.array([0.0, 1.0]), provenance=prov)
-    write_records(tmp_path / "one.records", rec.image[None], rec.label[None])
-    write_provenance(tmp_path / "one.prov", [rec])
+    write_records(tmp_path / "one.records", np.zeros((1, 4, 4)), np.array([[0.0, 1.0]]))
+    write_provenance(tmp_path / "one.prov", [prov])
     assert read_provenance(tmp_path / "one.prov")[0].method == "offline"

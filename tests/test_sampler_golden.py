@@ -20,12 +20,13 @@ import pytest
 from noisecutmix import (
     ClassModel,
     SamplerConfig,
+    generate_batch,
     make_bump_dataset,
     make_cosine_schedule,
+    mask_from_rect,
     sample_noisecutmix_batch,
     sample_single_batch,
 )
-from noisecutmix.samplers import generate_batch
 from test_acceptance import _environment
 
 GOLDEN = Path(__file__).parent / "golden" / "samplers.json"
@@ -62,10 +63,10 @@ def _ancestral_records():
     models, _ = make_bump_dataset(4, 16, 16, 2.0, 0.3, seed=3, n_per_class=0)
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=100, guidance_scale=3.0)
     class_a, class_b = [0, 1, 2, 3, 0, 2], [1, 3, 0, 2, 3, 1]
-    images, labels, records = generate_batch(
+    images, labels, provs = generate_batch(
         class_a, class_b, cfg, sched, models, seeds=[5, 17, 29, 41, 53, 65], alpha=1.0
     )
-    masks = np.stack([r.mask for r in records])
+    masks = np.stack([mask_from_rect(16, 16, p.rect) for p in provs])
     return _sha256(images, labels, masks)
 
 

@@ -5,16 +5,20 @@ from noisecutmix import (
     NumericalDivergence,
     SamplerConfig,
     forward_noise,
-    generate_noisecutmix,
-    generate_single,
+    generate_batch,
     make_bump_dataset,
     make_cosine_schedule,
+    mask_from_rect,
+    mix_labels,
+    one_hot,
     regenerate,
+    sample_noisecutmix_batch,
     sample_single_batch,
     step_ancestral,
     step_dpm_pp_2m,
     timestep_grid,
 )
+from noisecutmix.mixing import realized_lambda
 from noisecutmix.samplers import child_rng, guided_eps_fn, tweedie_x0
 
 
@@ -122,10 +126,10 @@ def test_terminal_steps_of_both_integrators_agree(sched):
 
 def test_generate_single_deterministic(sched, bump_models):
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=20, guidance_scale=7.5)
-    a = generate_single(0, cfg, sched, bump_models, seed=9)
-    b = generate_single(0, cfg, sched, bump_models, seed=9)
-    assert np.array_equal(a.image, b.image)
-    assert np.array_equal(a.label, b.label)
+    a_images, a_labels, _ = generate_batch([0], None, cfg, sched, bump_models, [9])
+    b_images, b_labels, _ = generate_batch([0], None, cfg, sched, bump_models, [9])
+    assert np.array_equal(a_images, b_images)
+    assert np.array_equal(a_labels, b_labels)
 
 
 @pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
@@ -134,24 +138,14 @@ def test_collapse_to_single_class(sched, bump_models, kind):
     ones = np.ones((8, 8), dtype=np.uint8)
     zeros = np.zeros((8, 8), dtype=np.uint8)
     for seed in (3, 17, 91):
-        mix_a = generate_noisecutmix(0, 1, cfg, sched, bump_models, 1.0, seed, force_mask=ones)
-        mix_b = generate_noisecutmix(0, 1, cfg, sched, bump_models, 1.0, seed, force_mask=zeros)
-        single_a = generate_single(0, cfg, sched, bump_models, seed)
-        single_b = generate_single(1, cfg, sched, bump_models, seed)
-        assert np.array_equal(mix_a.image, single_a.image)
-        assert np.array_equal(mix_b.image, single_b.image)
-        assert np.array_equal(mix_b.label, single_b.label)
-
-
-@pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
-def test_forced_lambda_degenerate_cases(sched, bump_models, kind):
-    cfg = SamplerConfig(kind=kind, num_inference_steps=15, guidance_scale=7.5)
-    lam1 = generate_noisecutmix(0, 1, cfg, sched, bump_models, 1.0, 7, force_lambda=1.0)
-    lam0 = generate_noisecutmix(0, 1, cfg, sched, bump_models, 1.0, 7, force_lambda=0.0)
-    assert np.array_equal(lam1.image, generate_single(0, cfg, sched, bump_models, 7).image)
-    assert np.array_equal(lam0.image, generate_single(1, cfg, sched, bump_models, 7).image)
-    assert np.array_equal(lam0.label, [0.0, 1.0])
-    assert lam1.provenance.lambda_real == 1.0
+        mix_a = sample_noisecutmix_batch(0, 1, ones, cfg, sched, bump_models, seed, 1)
+        mix_b = sample_noisecutmix_batch(0, 1, zeros, cfg, sched, bump_models, seed, 1)
+        single_a = sample_single_batch(0, cfg, sched, bump_models, seed, 1)
+        single_b = sample_single_batch(1, cfg, sched, bump_models, seed, 1)
+        assert np.array_equal(mix_a, single_a)
+        assert np.array_equal(mix_b, single_b)
+    # the all-zeros mask's area-ratio label is class B's one-hot label
+    assert np.array_equal(mix_labels(0, 1, realized_lambda(zeros), 2), one_hot(1, 2))
 
 
 def test_mixed_noise_is_pure_selection(sched, bump_models):
@@ -174,29 +168,31 @@ def test_mixed_noise_is_pure_selection(sched, bump_models):
 
 def test_noisecutmix_label_uses_realized_lambda(sched, bump_models):
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10)
-    rec = generate_noisecutmix(0, 1, cfg, sched, bump_models, 1.0, seed=21)
-    zeros = int((rec.mask == 0).sum())
-    lam_real = 1.0 - zeros / rec.mask.size
-    assert rec.provenance.lambda_real == lam_real
-    assert np.allclose(rec.label, [lam_real, 1.0 - lam_real], atol=1e-15)
-    assert abs(rec.label.sum() - 1.0) <= 1e-12
+    _, labels, (prov,) = generate_batch([0], [1], cfg, sched, bump_models, [21], 1.0)
+    mask = mask_from_rect(8, 8, prov.rect)
+    zeros = int((mask == 0).sum())
+    lam_real = 1.0 - zeros / mask.size
+    assert prov.lambda_real == lam_real
+    assert np.allclose(labels[0], [lam_real, 1.0 - lam_real], atol=1e-15)
+    assert abs(labels[0].sum() - 1.0) <= 1e-12
 
 
 def test_regenerate_is_bit_exact(sched, bump_models):
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=12, guidance_scale=7.5)
-    rec = generate_noisecutmix(1, 0, cfg, sched, bump_models, 0.7, seed=5)
-    again = regenerate(rec.provenance, sched, bump_models)
-    assert np.array_equal(rec.image, again.image)
-    assert np.array_equal(rec.label, again.label)
-    single = generate_single(1, cfg, sched, bump_models, seed=6)
-    again = regenerate(single.provenance, sched, bump_models)
-    assert np.array_equal(single.image, again.image)
+    images, labels, (prov,) = generate_batch([1], [0], cfg, sched, bump_models, [5], 0.7)
+    image, label = regenerate(prov, sched, bump_models)
+    assert np.array_equal(images[0], image)
+    assert np.array_equal(labels[0], label)
+    images, labels, (prov,) = generate_batch([1], None, cfg, sched, bump_models, [6])
+    image, label = regenerate(prov, sched, bump_models)
+    assert np.array_equal(images[0], image)
+    assert np.array_equal(labels[0], label)
 
 
 def test_generate_rejects_unknown_class(sched, bump_models):
     cfg = SamplerConfig(num_inference_steps=5)
     with pytest.raises(ValueError):
-        generate_noisecutmix(0, 5, cfg, sched, bump_models, 1.0, seed=0)
+        generate_batch([0], [5], cfg, sched, bump_models, [0], 1.0)
 
 
 def test_sampler_config_validation():
@@ -239,8 +235,8 @@ def test_batched_path_matches_per_record_path(sched, bump_models):
     # the moment-test entry point must share the per-record dynamics
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10, guidance_scale=7.5)
     batch = sample_single_batch(0, cfg, sched, bump_models, seed=31, n=1)
-    rec = generate_single(0, cfg, sched, bump_models, seed=31)
-    assert np.array_equal(batch[0], rec.image)
+    images, _, _ = generate_batch([0], None, cfg, sched, bump_models, [31])
+    assert np.array_equal(batch, images)
 
 
 def test_child_streams_are_independent():
