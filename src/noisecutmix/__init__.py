@@ -7,7 +7,7 @@ against pixel-space CutMix/MixUp and plain generator augmentation with
 a small soft-label classifier.
 """
 
-from .augment import AugmentPolicy, apply_policy, cutmix_pair, mixup_pair
+from .augment import AugmentPolicy, apply_policy
 from .classifier import (
     MlpClassifier,
     TrainConfig,
@@ -38,7 +38,7 @@ from .schedule import Schedule, cfg_combine, forward_noise, make_cosine_schedule
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentPolicy", "apply_policy", "cutmix_pair", "mixup_pair",
+    "AugmentPolicy", "apply_policy",
     "MlpClassifier", "TrainConfig", "evaluate", "gradient", "init_classifier",
     "soft_ce_loss", "train",
     "ClassFamily", "ClassModel", "class_family", "make_bump_dataset", "predict_noise",

@@ -5,16 +5,17 @@ generator-augmented training sets. apply_policy gates per batch and
 pairs each element with a random permutation partner, drawing a fresh
 ratio (and rectangle, for CutMix) per pair. The scalar draws run in one
 short loop; the masks and the mixing then run once over the whole batch.
-cutmix_pair and mixup_pair are the same batch code on a batch of one.
+The cut size and the realized ratio come from mixing, as in generation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import mask_from_rect, sample_lambda
+from .mixing import cut_size, mask_from_rect, realized_lambda, sample_lambda
 
 POLICY_KINDS = ("none", "cutmix", "mixup")
 
@@ -30,31 +31,21 @@ class AugmentPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not (0.0 <= self.probability <= 1.0):
             raise ValueError("probability must lie in [0, 1]")
-        if self.kind != "none" and self.alpha <= 0.0:
-            raise ValueError("alpha must be positive for an active policy")
+        if self.kind != "none" and not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive for an active policy")
 
 
-def _check_pair(img_a, label_a, img_b, label_b):
-    if img_a.shape != img_b.shape:
-        raise ValueError(f"image shape mismatch: {img_a.shape} vs {img_b.shape}")
-    if label_a.shape != label_b.shape:
-        raise ValueError(f"label shape mismatch: {label_a.shape} vs {label_b.shape}")
-
-
-def _draw(n, alpha, rng, grid=None, force_lambda=None):
+def _draw(n, alpha, rng, grid=None):
     """n mixing ratios and, for a (W, H) grid, n CutMix masks (N, H, W), else None.
 
-    Per row, in this order: the ratio from Beta(alpha, alpha) (unless
-    forced), then, on a grid and only for a ratio other than exactly 1.0,
-    the rectangle center x ~ Unif(0, W) and y ~ Unif(0, H). The rectangle
-    measures W sqrt(1 - ratio) x H sqrt(1 - ratio); a row with ratio 1.0
-    draws no center and cuts nothing. A forced ratio must lie in [0, 1].
+    Per row, in this order: the ratio from Beta(alpha, alpha), then, on a
+    grid and only for a ratio other than exactly 1.0, the rectangle center
+    x ~ Unif(0, W) and y ~ Unif(0, H). The rectangle measures
+    mixing.cut_size; a row with ratio 1.0 draws no center and cuts nothing.
     """
-    if force_lambda is not None and not (0.0 <= force_lambda <= 1.0):
-        raise ValueError(f"lambda must lie in [0, 1], got {force_lambda}")
     lams, centers = [], np.zeros((n, 2))
     for i in range(n):
-        lam = sample_lambda(alpha, rng) if force_lambda is None else force_lambda
+        lam = sample_lambda(alpha, rng)
         lams.append(lam)
         if grid is not None and lam != 1.0:
             centers[i] = rng.uniform(0.0, grid[0]), rng.uniform(0.0, grid[1])
@@ -62,10 +53,9 @@ def _draw(n, alpha, rng, grid=None, force_lambda=None):
     if grid is None:
         return lam, None
     width, height = grid
-    side = np.sqrt(1.0 - lam)
     cut = lam != 1.0
     masks = np.ones((n, height, width), dtype=np.uint8)
-    rects = np.column_stack([centers, width * side, height * side])
+    rects = np.column_stack([centers, *cut_size(width, height, lam)])
     masks[cut] = mask_from_rect(width, height, rects[cut])
     return lam, masks
 
@@ -80,9 +70,8 @@ def _mix(images_a, labels_a, images_b, labels_b, lam, masks=None):
     weight is exactly 1.0 is a copy of a_i.
     """
     if masks is not None:
-        keep = masks.astype(bool)
-        lam = 1.0 - np.count_nonzero(~keep, axis=(1, 2)) / keep[0].size
-        out = np.where(keep, images_a, images_b)
+        lam = realized_lambda(masks)
+        out = np.where(masks, images_a, images_b)
     else:
         weight = lam[:, None, None]
         out = weight * images_a + (1.0 - weight) * images_b
@@ -91,50 +80,6 @@ def _mix(images_a, labels_a, images_b, labels_b, lam, masks=None):
     whole = lam == 1.0
     out[whole], out_labels[whole] = images_a[whole], labels_a[whole]
     return out, out_labels
-
-
-def cutmix_pair(
-    img_a: np.ndarray,
-    label_a: np.ndarray,
-    img_b: np.ndarray,
-    label_b: np.ndarray,
-    alpha: float,
-    rng: np.random.Generator,
-    force_lambda: float | None = None,
-    force_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paste a random rectangle of img_b into img_a; area-weighted label.
-
-    The label weight is the realized (post-clipping) area ratio, so the
-    emitted label always matches the pixels actually pasted.
-    """
-    _check_pair(img_a, label_a, img_b, label_b)
-    h, w = img_a.shape
-    if force_mask is not None:
-        mask = np.asarray(force_mask, dtype=np.uint8)
-        if mask.shape != (h, w):
-            raise ValueError(f"forced mask must have shape {(h, w)}")
-        masks = mask[None]
-    else:
-        _, masks = _draw(1, alpha, rng, (w, h), force_lambda)
-    out, label = _mix(img_a[None], label_a[None], img_b[None], label_b[None], None, masks)
-    return out[0], label[0]
-
-
-def mixup_pair(
-    img_a: np.ndarray,
-    label_a: np.ndarray,
-    img_b: np.ndarray,
-    label_b: np.ndarray,
-    alpha: float,
-    rng: np.random.Generator,
-    force_lambda: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convex blend of two images and labels with lam ~ Beta(alpha, alpha)."""
-    _check_pair(img_a, label_a, img_b, label_b)
-    lam, _ = _draw(1, alpha, rng, None, force_lambda)
-    out, label = _mix(img_a[None], label_a[None], img_b[None], label_b[None], lam)
-    return out[0], label[0]
 
 
 def apply_policy(

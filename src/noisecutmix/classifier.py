@@ -25,6 +25,7 @@ _EPOCH_STREAM = 12
 _POLICY_STREAM = 13
 # how far a training label's row sum may sit from 1 (mixed labels round off)
 LABEL_SUM_TOL = 1e-9
+MIN_TRAIN_SAMPLES = 10
 
 
 @functools.cache
@@ -225,6 +226,11 @@ class _Adam:
         np.subtract(params, a, out=params)
 
 
+def validation_size(n_real: int, val_fraction: float) -> int:
+    """validation_split's hold-out size: round(val_fraction * n_real), within [1, n_real - 1]."""
+    return max(1, min(round(val_fraction * n_real), n_real - 1))
+
+
 def validation_split(
     synthetic: np.ndarray, val_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +240,7 @@ def validation_split(
     if real_idx.size < 2:
         raise ValueError("need at least 2 real samples for the validation split")
     order = real_idx[rng.permutation(real_idx.size)]
-    n_val = int(round(val_fraction * real_idx.size))
-    n_val = max(1, min(n_val, real_idx.size - 1))
-    val_idx = np.sort(order[:n_val])
+    val_idx = np.sort(order[:validation_size(real_idx.size, val_fraction)])
     assert not synthetic[val_idx].any(), "synthetic sample leaked into validation"
     return np.setdiff1d(np.arange(synthetic.size), val_idx), val_idx
 
@@ -277,8 +281,8 @@ def train(
     if policy is None:
         policy = AugmentPolicy(kind="none")
     n = len(images)
-    if n < 10:
-        raise ValueError("dataset must have at least 10 samples")
+    if n < MIN_TRAIN_SAMPLES:
+        raise ValueError(f"dataset must have at least {MIN_TRAIN_SAMPLES} samples")
     if synthetic is None:
         synthetic = np.zeros(n, dtype=bool)
     if len(labels) != n or len(synthetic) != n:

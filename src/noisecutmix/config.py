@@ -7,12 +7,13 @@ to a default. Omitted keys take the documented defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentPolicy
-from .classifier import TrainConfig
+from .classifier import MIN_TRAIN_SAMPLES, TrainConfig, validation_size
 from .classmodels import make_bump_dataset
 from .errors import ConfigError
 from .recordio import open_atomic
@@ -76,6 +77,8 @@ class ExperimentConfig:
             kinds = _FIELD_TYPES.get(f.type)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         for name in ("cutmix_alpha", "mixup_alpha", "noisemix_alpha"):
@@ -91,8 +94,9 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be >= 0")
         if self.n_test_per_class < 1:
             raise ConfigError("n_test_per_class must be >= 1")
-        if self.num_classes * self.n_train_per_class < 10:
-            raise ConfigError("num_classes * n_train_per_class must be >= 10 (train's minimum)")
+        n_real = self.num_classes * self.n_train_per_class
+        if n_real < MIN_TRAIN_SAMPLES:
+            raise ConfigError(f"num_classes * n_train_per_class must be >= {MIN_TRAIN_SAMPLES}")
         if self.sampler_kind not in SAMPLER_KINDS:
             raise ConfigError(f"sampler_kind must be one of {SAMPLER_KINDS}")
         if self.schedule_steps < 2:
@@ -114,9 +118,7 @@ class ExperimentConfig:
             AugmentPolicy(probability=self.augment_probability)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # train's validation split of the real samples, as validation_split sizes it
-        n_real = self.num_classes * self.n_train_per_class
-        n_val = max(1, min(round(self.val_fraction * n_real), n_real - 1))
+        n_val = validation_size(n_real, self.val_fraction)
         if n_real - n_val < self.num_classes:
             raise ConfigError(f"{n_real - n_val} real training samples after the validation "
                               f"split cannot cover {self.num_classes} classes")

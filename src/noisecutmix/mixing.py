@@ -56,8 +56,8 @@ def _gamma_marsaglia_tsang(shape: float, rng: np.random.Generator) -> float:
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     """Beta(alpha, alpha) variate as G1 / (G1 + G2) with Gamma(alpha, 1) draws."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     g1 = _gamma_marsaglia_tsang(alpha, rng)
     g2 = _gamma_marsaglia_tsang(alpha, rng)
     total = g1 + g2
@@ -88,16 +88,24 @@ def mask_from_rect(width: int, height: int, rect) -> np.ndarray:
     return (~(in_y[..., :, None] & in_x[..., None, :])).astype(np.uint8)
 
 
-def realized_lambda(mask: np.ndarray) -> float:
-    zeros = int(np.count_nonzero(mask == 0))
-    return 1.0 - zeros / mask.size
+def cut_size(width: int, height: int, lam):
+    """CutMix cut (W sqrt(1 - lam), H sqrt(1 - lam)), elementwise on a float or an array."""
+    side = np.sqrt(1.0 - lam)
+    return width * side, height * side
+
+
+def realized_lambda(masks: np.ndarray):
+    """Share of cells each 0/1 mask keeps, over the trailing (H, W) axes of one mask or a stack."""
+    h, w = masks.shape[-2:]
+    return 1.0 - (h * w - np.count_nonzero(masks, axis=(-2, -1))) / (h * w)
 
 
 def sample_mask(width: int, height: int, lam: float, rng: np.random.Generator) -> MaskSpec:
     """Sample the cut rectangle for mixing ratio lam and build the binary mask.
 
     The rectangle is centered at (r_x, r_y) ~ Unif(0,W) x Unif(0,H) with
-    size W sqrt(1-lam) x H sqrt(1-lam), clipped to the grid.
+    size cut_size(W, H, lam), clipped to the grid. The center is drawn
+    even for lam 1.0, so every mask consumes the same two draws.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -105,11 +113,11 @@ def sample_mask(width: int, height: int, lam: float, rng: np.random.Generator) -
         raise ValueError("grid dimensions must be positive")
     r_x = rng.uniform(0.0, width)
     r_y = rng.uniform(0.0, height)
-    r_w = width * math.sqrt(1.0 - lam)
-    r_h = height * math.sqrt(1.0 - lam)
-    rect = (r_x, r_y, r_w, r_h)
+    r_w, r_h = cut_size(width, height, lam)
+    # Python floats: provenance files write these with repr
+    rect = (r_x, r_y, float(r_w), float(r_h))
     mask = mask_from_rect(width, height, rect)
-    return MaskSpec(lambda_sampled=lam, rect=rect, mask=mask, lambda_real=realized_lambda(mask))
+    return MaskSpec(lam, rect, mask, float(realized_lambda(mask)))
 
 
 def one_hot(index: int, num_classes: int) -> np.ndarray:

@@ -43,8 +43,8 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.num_inference_steps < 1:
             raise ValueError("num_inference_steps must be >= 1")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance_scale must be >= 0")
+        if not 0.0 <= self.guidance_scale < math.inf:
+            raise ValueError("guidance_scale must be finite and >= 0")
 
 
 @dataclass

@@ -3,93 +3,90 @@ import math
 import numpy as np
 import pytest
 
-from noisecutmix import AugmentPolicy, apply_policy, cutmix_pair, mixup_pair, one_hot, sample_lambda
+from noisecutmix import AugmentPolicy, apply_policy, one_hot, sample_lambda, sample_mask
+from noisecutmix.augment import _draw, _mix
+from noisecutmix.mixing import realized_lambda
 from noisecutmix.samplers import child_rng
 
 
-def _pair(seed, shape=(16, 16), k=3):
+def _pairs(seed, n=20, shape=(16, 16), k=3):
+    """n rows of (a, one-hot 0) and n rows of (b, one-hot 1)."""
     rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal(shape), one_hot(0, k),
-        rng.standard_normal(shape), one_hot(1, k),
-    )
+    a, b = rng.standard_normal((2, n, *shape))
+    return a, np.tile(one_hot(0, k), (n, 1)), b, np.tile(one_hot(1, k), (n, 1))
 
 
 def test_cutmix_empty_cut_is_identity():
-    a, ya, b, yb = _pair(0)
-    img, label = cutmix_pair(a, ya, b, yb, 1.0, child_rng(0, 0), force_lambda=1.0)
-    assert np.array_equal(img, a)
-    assert np.array_equal(label, ya)
+    # alpha 0.01 puts some ratios at exactly 1.0: their masks cut nothing and copy a
+    a, ya, b, yb = _pairs(0, n=32)
+    lam, masks = _draw(32, 0.01, child_rng(0, 0), (16, 16))
+    whole = lam == 1.0
+    assert whole.any() and np.all(masks[whole] == 1)
+    img, label = _mix(a, ya, b, yb, lam, masks)
+    assert np.array_equal(img[whole], a[whole])
+    assert np.array_equal(label[whole], ya[whole])
 
 
 def test_cutmix_idempotent_on_equal_images():
-    a, ya, _, yb = _pair(1)
-    img, _ = cutmix_pair(a, ya, a.copy(), yb, 1.0, child_rng(1, 0))
+    a, ya, _, yb = _pairs(1)
+    lam, masks = _draw(20, 1.0, child_rng(1, 0), (16, 16))
+    img, _ = _mix(a, ya, a.copy(), yb, lam, masks)
     assert np.array_equal(img, a)
 
 
 def test_cutmix_integer_area_label():
     # an 8x8 zero block in a 16x16 grid puts weight 64/256 on the donor
-    a, ya, b, yb = _pair(2)
-    mask = np.ones((16, 16), dtype=np.uint8)
-    mask[4:12, 4:12] = 0
-    img, label = cutmix_pair(a, ya, b, yb, 1.0, child_rng(2, 0), force_mask=mask)
+    a, ya, b, yb = _pairs(2, n=1)
+    mask = np.ones((1, 16, 16), dtype=np.uint8)
+    mask[0, 4:12, 4:12] = 0
+    img, label = _mix(a, ya, b, yb, None, mask)
     assert np.allclose(label, 0.75 * ya + 0.25 * yb, atol=1e-15)
     assert np.array_equal(img[mask == 0], b[mask == 0])
     assert np.array_equal(img[mask == 1], a[mask == 1])
 
 
 def test_cutmix_output_is_partition_of_sources():
-    a, ya, b, yb = _pair(3)
-    rng = child_rng(3, 0)
-    for _ in range(20):
-        img, _ = cutmix_pair(a, ya, b, yb, 1.0, rng)
-        from_a = img == a
-        from_b = img == b
-        assert np.all(from_a | from_b)
+    a, ya, b, yb = _pairs(3)
+    lam, masks = _draw(20, 1.0, child_rng(3, 0), (16, 16))
+    img, _ = _mix(a, ya, b, yb, lam, masks)
+    assert np.all((img == a) | (img == b))
 
 
 def test_mixup_identity_and_midpoint():
-    a, ya, b, yb = _pair(4)
-    img, label = mixup_pair(a, ya, b, yb, 0.2, child_rng(4, 0), force_lambda=1.0)
+    a, ya, b, yb = _pairs(4, n=1)
+    img, label = _mix(a, ya, b, yb, np.array([1.0]))
     assert np.array_equal(img, a) and np.array_equal(label, ya)
-    zero = np.zeros((4, 4))
-    two = np.full((4, 4), 2.0)
-    img, _ = mixup_pair(zero, ya, two, yb, 0.2, child_rng(4, 0), force_lambda=0.5)
-    assert np.array_equal(img, np.ones((4, 4)))
+    zero = np.zeros((1, 4, 4))
+    two = np.full((1, 4, 4), 2.0)
+    img, _ = _mix(zero, ya, two, yb, np.array([0.5]))
+    assert np.array_equal(img, np.ones((1, 4, 4)))
 
 
 def test_mixup_label_interpolation():
-    img, label = mixup_pair(
-        np.zeros((2, 2)), one_hot(0, 2), np.ones((2, 2)), one_hot(1, 2),
-        0.2, child_rng(5, 0), force_lambda=0.2,
-    )
-    assert np.allclose(label, [0.2, 0.8], atol=1e-15)
+    _, label = _mix(np.zeros((1, 2, 2)), one_hot(0, 2)[None], np.ones((1, 2, 2)),
+                    one_hot(1, 2)[None], np.array([0.2]))
+    assert np.allclose(label, [[0.2, 0.8]], atol=1e-15)
 
 
 def test_mixup_bounded_by_sources():
-    a, ya, b, yb = _pair(6)
-    rng = child_rng(6, 0)
-    for _ in range(20):
-        img, _ = mixup_pair(a, ya, b, yb, 0.2, rng)
-        assert np.all(img >= np.minimum(a, b) - 1e-12)
-        assert np.all(img <= np.maximum(a, b) + 1e-12)
+    a, ya, b, yb = _pairs(6)
+    lam, masks = _draw(20, 0.2, child_rng(6, 0))
+    assert masks is None
+    img, _ = _mix(a, ya, b, yb, lam)
+    assert np.all(img >= np.minimum(a, b) - 1e-12)
+    assert np.all(img <= np.maximum(a, b) + 1e-12)
 
 
-def test_pair_shape_mismatch():
-    with pytest.raises(ValueError):
-        cutmix_pair(np.zeros((4, 4)), one_hot(0, 2), np.zeros((5, 5)), one_hot(1, 2), 1.0, child_rng(0, 0))
-    with pytest.raises(ValueError):
-        mixup_pair(np.zeros((4, 4)), one_hot(0, 2), np.zeros((4, 4)), one_hot(1, 3), 1.0, child_rng(0, 0))
-
-
-@pytest.mark.parametrize("pair", [cutmix_pair, mixup_pair])
-@pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
-def test_pair_rejects_forced_lambda_outside_unit_interval(pair, lam):
-    # mixup_pair once extrapolated: lambda 1.5 gave the label [1.5, -0.5]
-    a, ya, b, yb = _pair(9)
-    with pytest.raises(ValueError):
-        pair(a, ya, b, yb, 1.0, child_rng(9, 0), force_lambda=lam)
+def test_policy_and_generation_cut_alike():
+    # apply_policy's CutMix and generation's sample_mask cut a (W, H) = (12, 9) grid alike
+    for seed in range(50):
+        lam, masks = _draw(1, 1.0, child_rng(seed, 0), (12, 9))
+        rng = child_rng(seed, 0)
+        spec = sample_mask(12, 9, sample_lambda(1.0, rng), rng)
+        assert lam[0] != 1.0
+        assert lam[0] == spec.lambda_sampled
+        assert np.array_equal(masks[0], spec.mask)
+        assert realized_lambda(masks)[0] == spec.lambda_real
 
 
 def _batch(seed, n=6, k=4):
@@ -193,7 +190,9 @@ def test_apply_policy_rejects_singleton_batch():
 def test_policy_validation():
     with pytest.raises(ValueError):
         AugmentPolicy("cutout")
-    with pytest.raises(ValueError):
-        AugmentPolicy("cutmix", alpha=0.0)
+    for kind in ("cutmix", "mixup"):
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                AugmentPolicy(kind, alpha=alpha)
     with pytest.raises(ValueError):
         AugmentPolicy("mixup", probability=1.5)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_augment_subcommand(tmp_path, cfg_path):
     images, labels = read_records(out)
     assert images.shape == (6, 8, 8)
     assert np.all(np.abs(labels.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_augment_rejects_non_finite_alpha(tmp_path):
+    from noisecutmix.recordio import write_records
+
+    data = tmp_path / "in.records"
+    write_records(data, np.zeros((4, 4, 4)), np.eye(2)[np.arange(4) % 2])
+    for alpha in ("nan", "inf"):
+        out = tmp_path / f"{alpha}.records"
+        assert main(["augment", "--policy", "mixup", "--alpha", alpha, "--probability", "1",
+                     "--input", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_train_and_evaluate_subcommands(tmp_path, cfg_path):
@@ -180,6 +193,11 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"num_classes": 10, "n_train_per_class": 1, "methods": ["original"], "trials": 1},
         {"num_classes": 2, "n_train_per_class": 5, "val_fraction": 0.9,
          "methods": ["original"], "trials": 1},
+        {"augment_ratio": math.inf, "methods": ["gen_random"], "trials": 1},
+        {"augment_ratio": math.nan, "methods": ["gen_random"], "trials": 1},
+        {"noise_var": math.nan, "methods": ["original"], "trials": 1},
+        {"guidance_scale": math.inf, "methods": ["noisecutmix"], "trials": 1},
+        {"cutmix_alpha": math.inf, "methods": ["cutmix"], "trials": 1},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,12 @@ def test_config_rejects_bad_values():
         # the validation split leaves fewer real training samples than classes
         {"num_classes": 10, "n_train_per_class": 1},
         {"num_classes": 2, "n_train_per_class": 5, "val_fraction": 0.9},
+        # JSON's NaN and Infinity parse to non-finite floats
+        {"augment_ratio": math.inf},
+        {"augment_ratio": math.nan},
+        {"noise_var": math.nan},
+        {"guidance_scale": math.inf},
+        {"cutmix_alpha": math.inf},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)

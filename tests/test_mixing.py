@@ -23,10 +23,9 @@ def ks_uniform_statistic(samples):
 
 def test_lambda_rejects_nonpositive_alpha():
     rng = child_rng(0, 0)
-    with pytest.raises(ValueError):
-        sample_lambda(0.0, rng)
-    with pytest.raises(ValueError):
-        sample_lambda(-1.0, rng)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sample_lambda(alpha, rng)
 
 
 def test_lambda_alpha_one_is_uniform():

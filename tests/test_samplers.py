@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,9 @@ def test_sampler_config_validation():
         SamplerConfig(kind="euler")
     with pytest.raises(ValueError):
         SamplerConfig(num_inference_steps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(guidance_scale=-1.0)
+    for scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplerConfig(guidance_scale=scale)
 
 
 def test_bump_class_terminal_moments():
