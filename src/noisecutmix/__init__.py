@@ -8,15 +8,7 @@ a small soft-label classifier.
 """
 
 from .augment import AugmentPolicy, apply_policy
-from .classifier import (
-    MlpClassifier,
-    TrainConfig,
-    evaluate,
-    gradient,
-    init_classifier,
-    soft_ce_loss,
-    train,
-)
+from .classifier import MlpClassifier, TrainConfig, evaluate, init_classifier, train
 from .classmodels import ClassFamily, ClassModel, class_family, make_bump_dataset, predict_noise
 from .config import METHODS, ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, NumericalDivergence
@@ -39,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentPolicy", "apply_policy",
-    "MlpClassifier", "TrainConfig", "evaluate", "gradient", "init_classifier",
-    "soft_ce_loss", "train",
+    "MlpClassifier", "TrainConfig", "evaluate", "init_classifier", "train",
     "ClassFamily", "ClassModel", "class_family", "make_bump_dataset", "predict_noise",
     "METHODS", "ExperimentConfig", "config_from_dict", "load_config",
     "ConfigError", "NumericalDivergence",

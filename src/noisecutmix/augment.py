@@ -32,7 +32,7 @@ class AugmentPolicy:
         if not (0.0 <= self.probability <= 1.0):
             raise ValueError("probability must lie in [0, 1]")
         if self.kind != "none" and not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and positive for an active policy")
+            raise ValueError(f"{self.kind} alpha must be finite and positive, got {self.alpha!r}")
 
 
 def _draw(n, alpha, rng, grid=None):

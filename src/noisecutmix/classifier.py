@@ -90,47 +90,22 @@ class MlpClassifier:
     into params in place updates the model, and params.copy() snapshots it.
     """
 
-    def __init__(self, w1, b1, w2, b2, seed: int = 0):
-        shapes = [np.shape(a) for a in (w1, b1, w2, b2)]
-        params = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)], dtype=np.float64)
-        self._bind(params, shapes[0][1], shapes[0][0], len(b2), seed)
-        if shapes != [self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape]:
-            raise ValueError(f"inconsistent parameter shapes {shapes}")
-
-    @classmethod
-    def from_params(
-        cls, params: np.ndarray, in_dim: int, hidden: int, num_classes: int, seed: int = 0
-    ) -> MlpClassifier:
-        """The model whose parameters are views of params itself (no copy)."""
-        model = cls.__new__(cls)
-        model._bind(params, in_dim, hidden, num_classes, seed)
-        return model
+    def __init__(self, params: np.ndarray, in_dim: int, hidden: int, num_classes: int,
+                 seed: int = 0):
+        e1 = hidden * in_dim
+        e2 = e1 + hidden
+        e3 = e2 + num_classes * hidden
+        if params.dtype != np.float64 or params.shape != (e3 + num_classes,):
+            raise ValueError(f"need {e3 + num_classes} float64 parameters, "
+                             f"got {params.dtype}{params.shape}")
+        self.w1, self.b1 = params[:e1].reshape(hidden, in_dim), params[e1:e2]
+        self.w2, self.b2 = params[e2:e3].reshape(num_classes, hidden), params[e3:]
+        self.params, self.seed = params, seed
+        self.in_dim, self.hidden, self.num_classes = in_dim, hidden, num_classes
 
     def like(self, params: np.ndarray) -> MlpClassifier:
         """A model of this shape and seed whose parameters are views of params."""
-        return self.from_params(params, self.in_dim, self.hidden, self.num_classes, self.seed)
-
-    def _bind(self, params, in_dim, hidden, k, seed):
-        e1 = hidden * in_dim
-        e2 = e1 + hidden
-        e3 = e2 + k * hidden
-        if params.dtype != np.float64 or params.shape != (e3 + k,):
-            raise ValueError(f"need {e3 + k} float64 parameters, got {params.dtype}{params.shape}")
-        self.w1, self.b1 = params[:e1].reshape(hidden, in_dim), params[e1:e2]
-        self.w2, self.b2 = params[e2:e3].reshape(k, hidden), params[e3:]
-        self.params, self.seed = params, seed
-
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[0]
+        return MlpClassifier(params, self.in_dim, self.hidden, self.num_classes, self.seed)
 
     def logits(self, x_flat: np.ndarray) -> np.ndarray:
         """Logits for a (B, in_dim) batch of flattened grids."""
@@ -144,18 +119,8 @@ def init_classifier(in_dim: int, hidden: int, num_classes: int, seed: int) -> Ml
     rng = child_rng(seed, _INIT_STREAM)
     w1 = rng.standard_normal((hidden, in_dim)) * np.sqrt(2.0 / in_dim)
     w2 = rng.standard_normal((num_classes, hidden)) * np.sqrt(2.0 / hidden)
-    return MlpClassifier(
-        w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(num_classes), seed=seed
-    )
-
-
-def soft_ce_loss(logits: np.ndarray, target: np.ndarray) -> float:
-    """Cross entropy -sum_k target_k log softmax(logits)_k, log-sum-exp stabilized."""
-    logits = np.asarray(logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - np.dot(target, logits))
+    params = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(num_classes)])
+    return MlpClassifier(params, in_dim, hidden, num_classes, seed)
 
 
 def _loss_and_grads(
@@ -183,12 +148,6 @@ def _loss_and_grads(
     np.matmul(dz1.T, x, out=g.w1)
     np.sum(dz1, axis=0, out=g.b1)
     return loss, {"w1": g.w1, "b1": g.b1, "w2": g.w2, "b2": g.b2}
-
-
-def gradient(model: MlpClassifier, images: np.ndarray, labels: np.ndarray) -> dict:
-    """Exact gradient of the mean soft-CE loss over the batch, by parameter name."""
-    _, grads = _loss_and_grads(model, images.reshape(len(images), -1), labels)
-    return grads
 
 
 class _Adam:

@@ -18,7 +18,6 @@ from .classifier import evaluate, train
 from .config import METHODS, ExperimentConfig, load_config
 from .errors import ConfigError, NumericalDivergence
 from .harness import (
-    build_models,
     export_grid,
     format_result_table,
     generate_records,
@@ -46,7 +45,7 @@ def _cmd_generate(args) -> int:
     cfg = _load_cfg(args.config)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    models = build_models(cfg)
+    models, _ = cfg.dataset(0, 0)
     sched = make_cosine_schedule(cfg.schedule_steps)
     seed = cfg.master_seed if args.seed is None else args.seed
     images, labels, provs = generate_records(args.method, cfg, models, sched, args.count, seed)

@@ -17,7 +17,7 @@ from .classifier import MIN_TRAIN_SAMPLES, TrainConfig, validation_size
 from .classmodels import make_bump_dataset
 from .errors import ConfigError
 from .recordio import open_atomic
-from .samplers import SAMPLER_KINDS
+from .samplers import SamplerConfig
 
 # name -> (generator, pixel policy). The generator is None or a
 # Provenance.method value ("single" or "noisecutmix"), the policy an
@@ -35,7 +35,8 @@ METHODS = {
 OUTPUT_DIR_ENV = "NOISECUTMIX_OUTDIR"
 
 # JSON value types a typed field accepts; bool, an int subclass, never
-_FIELD_TYPES = {"int": int, "float": (int, float), "str | None": (str, type(None))}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str | None": (str, type(None)),
+                "list[str]": list}
 
 
 @dataclass
@@ -79,13 +80,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        for name in ("cutmix_alpha", "mixup_alpha", "noisemix_alpha"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        if not self.guidance_scale >= 0.0:
-            raise ConfigError("guidance_scale must be >= 0")
+        # sample_lambda owns this check but runs only after config.json is written
+        if not self.noisemix_alpha > 0.0:
+            raise ConfigError("noisemix_alpha must be > 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.augment_ratio < 0.0:
@@ -97,8 +94,6 @@ class ExperimentConfig:
         n_real = self.num_classes * self.n_train_per_class
         if n_real < MIN_TRAIN_SAMPLES:
             raise ConfigError(f"num_classes * n_train_per_class must be >= {MIN_TRAIN_SAMPLES}")
-        if self.sampler_kind not in SAMPLER_KINDS:
-            raise ConfigError(f"sampler_kind must be one of {SAMPLER_KINDS}")
         if self.schedule_steps < 2:
             raise ConfigError("schedule_steps must be >= 2")
         if not (1 <= self.num_inference_steps <= self.schedule_steps):
@@ -111,17 +106,27 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
         try:
-            # the dataset, trainer and policy validators: bad values fail before any write
-            make_bump_dataset(self.num_classes, self.width, self.height, self.bump_sigma,
-                              self.noise_var, 0, 0)
+            # each component checks its own fields, so building them all rejects bad
+            # values before any write; every method's policy, configured or not
+            self.dataset(0, 0)
+            self.sampler_config()
             self.train_config()
-            AugmentPolicy(probability=self.augment_probability)
+            for method in METHODS:
+                self.augment_policy(method)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         n_val = validation_size(n_real, self.val_fraction)
         if n_real - n_val < self.num_classes:
             raise ConfigError(f"{n_real - n_val} real training samples after the validation "
                               f"split cannot cover {self.num_classes} classes")
+
+    def dataset(self, seed: int, n_per_class: int):
+        """make_bump_dataset over this config's dataset block: (models, (images, class ids))."""
+        return make_bump_dataset(self.num_classes, self.width, self.height, self.bump_sigma,
+                                 self.noise_var, seed, n_per_class)
+
+    def sampler_config(self) -> SamplerConfig:
+        return SamplerConfig(self.sampler_kind, self.num_inference_steps, self.guidance_scale)
 
     def train_config(self, seed: int = 0) -> TrainConfig:
         return TrainConfig(
@@ -140,14 +145,7 @@ class ExperimentConfig:
         return AugmentPolicy(kind, alpha, self.augment_probability)
 
     def resolved_output_dir(self, override: str | None = None) -> Path:
-        if override:
-            return Path(override)
-        if self.output_dir:
-            return Path(self.output_dir)
-        env = os.environ.get(OUTPUT_DIR_ENV)
-        if env:
-            return Path(env)
-        return Path("noisecutmix_out")
+        return Path(override or self.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "noisecutmix_out")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

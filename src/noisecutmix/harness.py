@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import evaluate, train
-from .classmodels import ClassModel, make_bump_dataset
+from .classmodels import ClassModel
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
-from .samplers import Provenance, SamplerConfig, child_rng, generate_batch
+from .samplers import Provenance, child_rng, generate_batch
 from .schedule import Schedule, make_cosine_schedule
 
 _TRAIN_DATA_STREAM = 20
@@ -60,24 +60,6 @@ class ResultTable:
     trials: int
 
 
-def build_models(cfg: ExperimentConfig) -> list[ClassModel]:
-    """Class models implied by the config's dataset block (no samples)."""
-    models, _ = _dataset(cfg, seed=0, n_per_class=0)
-    return models
-
-
-def _dataset(cfg: ExperimentConfig, seed: int, n_per_class: int):
-    return make_bump_dataset(
-        cfg.num_classes,
-        cfg.width,
-        cfg.height,
-        cfg.bump_sigma,
-        cfg.noise_var,
-        seed=seed,
-        n_per_class=n_per_class,
-    )
-
-
 def generate_records(
     method: str,
     cfg: ExperimentConfig,
@@ -97,7 +79,7 @@ def generate_records(
     generator = METHODS.get(method, (None,))[0]
     if generator is None:
         raise ValueError(f"method {method!r} does not generate records")
-    sampler_cfg = SamplerConfig(cfg.sampler_kind, cfg.num_inference_steps, cfg.guidance_scale)
+    sampler_cfg = cfg.sampler_config()
     pick_rng = child_rng(seed, _CLASS_PICK_STREAM)
     seeds = [derive_seed(seed, _RECORD_SEED_STREAM, i) for i in range(count)]
     if generator == "single":
@@ -113,9 +95,8 @@ def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, see
     of the generated records) for one method and trial seed; the real samples come first."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {list(METHODS)}")
-    models, (images, class_ids) = _dataset(
-        cfg, derive_seed(seed, _TRAIN_DATA_STREAM), cfg.n_train_per_class
-    )
+    data_seed = derive_seed(seed, _TRAIN_DATA_STREAM)
+    models, (images, class_ids) = cfg.dataset(data_seed, cfg.n_train_per_class)
     labels = np.eye(cfg.num_classes)[class_ids]
     n_real = len(images)
     provs: list[Provenance] = []
@@ -171,13 +152,6 @@ def parse_result_table(text: str) -> ResultTable:
     return ResultTable(rows=rows, trials=len(rows[0].accuracies) if rows else 0)
 
 
-def mask_for_provenance(prov: Provenance, width: int, height: int) -> np.ndarray:
-    """Rebuild a record's mask from its stored rectangle (all ones if none)."""
-    if prov.rect is None:
-        return np.ones((height, width), dtype=np.uint8)
-    return mask_from_rect(width, height, prov.rect)
-
-
 def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -> None:
     """PGM montage of images (N, H, W): per record one row holding the
     image tile and, beside it, the mask tile its provenance rebuilds;
@@ -192,11 +166,13 @@ def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -
         tiles = np.round((images - lo) / span * 255.0).astype(np.uint8)
     else:
         tiles = np.zeros(images.shape, dtype=np.uint8)
+    # a rectangle off the grid cuts nothing: the all-ones mask of a record without a rect
+    rects = [p.rect or (-1.0, -1.0, 0.0, 0.0) for p in provs]
+    mask_tiles = mask_from_rect(w, h, rects) * np.uint8(255)
     sep = np.uint8(128)
     rows = []
     comments = [f"image map: lo={lo!r} hi={hi!r} -> 0..255", "mask tile: 0=cut 255=keep"]
-    for i, (tile, p) in enumerate(zip(tiles, provs)):
-        mask_tile = mask_for_provenance(p, w, h) * np.uint8(255)
+    for i, (tile, mask_tile, p) in enumerate(zip(tiles, mask_tiles, provs)):
         row = np.concatenate([tile, np.full((h, 1), sep), mask_tile], axis=1)
         rows.append(row)
         if i < len(provs) - 1:
@@ -227,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
 
     dump_config(cfg, out / "config.json")
     sched = make_cosine_schedule(cfg.schedule_steps)
-    _, test_set = _dataset(cfg, derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
+    _, test_set = cfg.dataset(derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
     rows = []
     for method in cfg.methods:
         accs = []

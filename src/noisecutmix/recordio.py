@@ -223,7 +223,7 @@ def load_classifier(path: str | Path) -> MlpClassifier:
         params = _read_payload(f, ((in_dim + 1 + k) * hidden + k) * 8, path).astype(np.float64)
     if not np.all(np.isfinite(params)):
         raise ValueError(f"non-finite weight in model file: {path}")
-    return MlpClassifier.from_params(params, in_dim, hidden, k, seed)
+    return MlpClassifier(params, in_dim, hidden, k, seed)
 
 
 def write_history(path: str | Path, history: list[EpochStats]) -> None:

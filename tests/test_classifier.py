@@ -9,10 +9,8 @@ from noisecutmix import (
     NumericalDivergence,
     TrainConfig,
     evaluate,
-    gradient,
     init_classifier,
     one_hot,
-    soft_ce_loss,
     train,
 )
 from noisecutmix import classifier
@@ -20,14 +18,29 @@ from noisecutmix.classifier import _Adam, _loss_and_grads, validation_split
 from noisecutmix.samplers import child_rng
 
 
+def _model(w1, b1, w2, b2):
+    """The classifier holding these weights, built from one flat vector."""
+    params = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)], dtype=np.float64)
+    return MlpClassifier(params, w1.shape[1], w1.shape[0], len(b2))
+
+
+def _soft_ce(logits, target):
+    """The trainer's loss on one sample whose logits are exactly `logits`:
+    with zero weights the output bias alone sets them."""
+    k = len(logits)
+    model = _model(np.zeros((1, 1)), np.zeros(1), np.zeros((k, 1)), logits)
+    loss, _ = _loss_and_grads(model, np.zeros((1, 1)), np.asarray(target)[None])
+    return loss
+
+
 def test_soft_ce_saturated_one_hot():
-    assert soft_ce_loss(np.array([20.0, 0.0, 0.0]), one_hot(0, 3)) <= 1e-8
+    assert _soft_ce(np.array([20.0, 0.0, 0.0]), one_hot(0, 3)) <= 1e-8
 
 
 def test_soft_ce_uniform_entropy():
     logits = np.zeros(4)
     target = np.full(4, 0.25)
-    assert abs(soft_ce_loss(logits, target) - math.log(4.0)) <= 1e-12
+    assert abs(_soft_ce(logits, target) - math.log(4.0)) <= 1e-12
 
 
 def test_soft_ce_matches_high_precision_reference():
@@ -41,7 +54,7 @@ def test_soft_ce_matches_high_precision_reference():
         z = [mpmath.mpf(v) for v in logits]
         lse = mpmath.log(mpmath.fsum(mpmath.e**v for v in z))
         ref = mpmath.fsum(mpmath.mpf(t) * (lse - v) for t, v in zip(target, z))
-        assert abs(soft_ce_loss(logits, target) - float(ref)) <= 1e-10
+        assert abs(_soft_ce(logits, target) - float(ref)) <= 1e-10
 
 
 def test_soft_ce_lower_bound_is_target_entropy():
@@ -49,17 +62,17 @@ def test_soft_ce_lower_bound_is_target_entropy():
     rng = np.random.default_rng(1)
     target = rng.dirichlet(np.ones(5))
     entropy = -np.sum(target * np.log(target))
-    assert soft_ce_loss(np.log(target), target) - entropy <= 1e-9
+    assert _soft_ce(np.log(target), target) - entropy <= 1e-9
     for _ in range(20):
         logits = rng.normal(size=5)
-        assert soft_ce_loss(logits, target) >= entropy - 1e-12
+        assert _soft_ce(logits, target) >= entropy - 1e-12
 
 
 def test_output_layer_gradient_closed_form():
     model = init_classifier(4, 3, 2, seed=0)
     img = np.random.default_rng(2).standard_normal((2, 2))
     target = one_hot(1, 2)
-    grads = gradient(model, img[None], target[None])
+    _, grads = _loss_and_grads(model, img.reshape(1, -1), target[None])
     logits = model.logits(img.reshape(1, -1))[0]
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
@@ -71,8 +84,8 @@ def test_symmetric_units_get_equal_bias_gradients():
     w1 = np.tile(np.array([[0.1, -0.2, 0.3]]), (4, 1))
     b1 = np.full(4, 0.5)
     w2 = np.tile(np.array([[0.7], [-0.4]]), (1, 4))
-    model = MlpClassifier(w1=w1, b1=b1, w2=w2, b2=np.zeros(2))
-    grads = gradient(model, np.zeros((4, 1, 3)), np.full((4, 2), 0.5))
+    model = _model(w1, b1, w2, np.zeros(2))
+    _, grads = _loss_and_grads(model, np.zeros((4, 3)), np.full((4, 2), 0.5))
     assert np.allclose(grads["b1"], grads["b1"][0], atol=1e-15)
 
 
@@ -255,17 +268,26 @@ def test_train_raises_on_nonfinite_loss():
         train(images, labels, TrainConfig(batch_size=64, epochs=2, seed=0))
 
 
+def test_constructor_binds_views_and_rejects_bad_vectors():
+    n = 4 * 3 + 3 + 2 * 3 + 2
+    params = np.arange(n, dtype=np.float64)
+    model = MlpClassifier(params, 4, 3, 2, seed=7)
+    assert (model.in_dim, model.hidden, model.num_classes, model.seed) == (4, 3, 2, 7)
+    assert model.w1.shape == (3, 4) and model.w2.shape == (2, 3) and model.b2.shape == (2,)
+    params[-1] = -1.0  # the weights are views of params, not copies
+    assert model.params is params and model.b2[-1] == -1.0
+    for bad in (np.zeros(n, dtype=np.float32), np.zeros(n - 1), np.zeros(n + 1)):
+        with pytest.raises(ValueError, match=f"need {n} float64 parameters"):
+            MlpClassifier(bad, 4, 3, 2)
+
+
 def test_evaluate_constant_model_hits_chance():
-    model = MlpClassifier(
-        w1=np.zeros((2, 4)), b1=np.zeros(2), w2=np.zeros((3, 2)), b2=np.array([1.0, 0.0, 0.0])
-    )
+    model = _model(np.zeros((2, 4)), np.zeros(2), np.zeros((3, 2)), np.array([1.0, 0.0, 0.0]))
     assert evaluate(model, np.zeros((15, 2, 2)), np.repeat([0, 1, 2], 5)) == pytest.approx(1.0 / 3.0)
 
 
 def test_evaluate_single_correct_sample():
-    model = MlpClassifier(
-        w1=np.zeros((2, 4)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.array([0.0, 2.0])
-    )
+    model = _model(np.zeros((2, 4)), np.zeros(2), np.zeros((2, 2)), np.array([0.0, 2.0]))
     assert evaluate(model, np.zeros((1, 2, 2)), np.array([1])) == 1.0
 
 

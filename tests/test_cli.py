@@ -198,6 +198,9 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"noise_var": math.nan, "methods": ["original"], "trials": 1},
         {"guidance_scale": math.inf, "methods": ["noisecutmix"], "trials": 1},
         {"cutmix_alpha": math.inf, "methods": ["cutmix"], "trials": 1},
+        {"mixup_alpha": -0.2, "methods": ["original"], "trials": 1},
+        {"methods": {"original": 1}, "trials": 1},
+        {"methods": "original"},
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))

@@ -1,11 +1,13 @@
 import ast
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisecutmix
 from noisecutmix import (
     AugmentPolicy,
     ConfigError,
@@ -17,9 +19,8 @@ from noisecutmix import (
     run_method,
 )
 from noisecutmix import cli, harness
-from noisecutmix.config import METHODS
+from noisecutmix.config import METHODS, OUTPUT_DIR_ENV
 from noisecutmix.harness import (
-    build_models,
     build_training_pool,
     export_grid,
     format_result_table,
@@ -104,14 +105,49 @@ def test_config_rejects_bad_values():
         {"noise_var": math.nan},
         {"guidance_scale": math.inf},
         {"cutmix_alpha": math.inf},
+        # a policy the methods do not use is still checked
+        {"mixup_alpha": -0.2, "methods": ["original"]},
+        # methods must be a list, not an object, a string or a tuple
+        {"methods": {"original": 1}, "trials": 1},
+        {"methods": "original"},
+        {"methods": ("original",)},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
 
 
+def test_config_errors_name_what_is_wrong():
+    with pytest.raises(ConfigError, match="cutmix alpha"):
+        config_from_dict({"cutmix_alpha": 0.0})
+    with pytest.raises(ConfigError, match="mixup alpha"):
+        config_from_dict({"mixup_alpha": -0.2, "methods": ["original"]})
+    with pytest.raises(ConfigError, match="methods must be of type list"):
+        config_from_dict({"methods": "original"})
+
+
 def test_config_rejects_unhashable_method():
     with pytest.raises(ConfigError, match="unknown methods"):
         ExperimentConfig(methods=[["original"]])
+
+
+@pytest.mark.parametrize("override, output_dir, env, expected", [
+    ("cli", "cfg", "env", "cli"),
+    (None, "cfg", "env", "cfg"),
+    ("", "cfg", "env", "cfg"),
+    (None, None, "env", "env"),
+    (None, "", "env", "env"),
+    (None, None, None, "noisecutmix_out"),
+    (None, None, "", "noisecutmix_out"),
+])
+def test_output_dir_precedence(monkeypatch, override, output_dir, env, expected):
+    # --out, then the config's output_dir, then the environment, then the default;
+    # an empty string counts as unset
+    if env is None:
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    else:
+        monkeypatch.setenv(OUTPUT_DIR_ENV, env)
+    cfg = ExperimentConfig(output_dir=output_dir)
+    assert cfg.resolved_output_dir(override) == Path(expected)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -146,6 +182,12 @@ def test_method_policies_take_the_config_alphas():
     for method, (_, kind) in METHODS.items():
         alpha = {"cutmix": 0.7, "mixup": 0.3}.get(kind, 1.0)
         assert cfg.augment_policy(method) == AugmentPolicy(kind, alpha, 0.25), method
+
+
+def test_all_is_the_public_names():
+    public = {name for name, value in vars(noisecutmix).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(noisecutmix.__all__) == sorted(public)
 
 
 def test_harness_and_cli_name_no_method():
@@ -190,7 +232,7 @@ def test_unknown_method_fails_fast():
 
 
 def _test_set(cfg):
-    return harness._dataset(cfg, seed=99, n_per_class=cfg.n_test_per_class)[1]
+    return cfg.dataset(99, cfg.n_test_per_class)[1]
 
 
 def test_method_determinism():
@@ -215,7 +257,7 @@ def test_ancestral_batch_records_regenerate_bit_exactly(method):
     # each record of a batch draws its step noise from its own stream
     cfg = tiny_config(sampler_kind="ancestral", num_classes=3)
     sched = make_cosine_schedule(cfg.schedule_steps)
-    models = build_models(cfg)
+    models, _ = cfg.dataset(0, 0)
     images, labels, provs = generate_records(method, cfg, models, sched, 7, seed=9)
     assert images.shape == (7, 8, 8) and labels.shape == (7, 3)
     for image, label, prov in zip(images, labels, provs, strict=True):
@@ -267,7 +309,7 @@ def test_experiment_provenance_regenerates_bit_exactly(experiment_dir):
     # every stored record, image and label, from its provenance line alone
     out, cfg, _ = experiment_dir
     sched = make_cosine_schedule(cfg.schedule_steps)
-    models = build_models(cfg)
+    models, _ = cfg.dataset(0, 0)
     for stem in ("noisecutmix_t0", "gen_random_t0"):
         images, labels = read_records(out / f"{stem}.records")
         provs = read_provenance(out / f"{stem}.prov")
@@ -378,7 +420,7 @@ def test_montage_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         export_grid(np.empty((0, 4, 4)), [], tmp_path / "never.pgm")
     cfg = tiny_config()
-    images, _, provs = generate_records("gen_random", cfg, build_models(cfg),
+    images, _, provs = generate_records("gen_random", cfg, cfg.dataset(0, 0)[0],
                                         make_cosine_schedule(cfg.schedule_steps), 2, seed=0)
     with pytest.raises(ValueError, match="one provenance per image"):
         export_grid(images, provs[:1], tmp_path / "never.pgm")
