@@ -152,9 +152,10 @@ def predict_noise(
     """Optimal noise estimate for x_t under the given condition.
 
     cond is a class id, an (N,) array of class ids (one per leading
-    entry of x_t), or None for the unconditional (all-class mixture)
-    branch. x_t may carry leading batch axes over the (H, W) grid; the
-    result has the same shape and goes into out if given (not x_t).
+    entry of x_t, so of shape x_t.shape[:-2]), or None for the
+    unconditional (all-class mixture) branch. x_t may carry leading
+    batch axes over the (H, W) grid; the result has the same shape and
+    goes into out if given (not x_t).
     The mixture branch keeps its per-class terms in one array of x_t's
     shape that it allocates per call.
     """
@@ -167,6 +168,9 @@ def predict_noise(
         cond = 0
     if cond is not None:
         ids = np.asarray(cond)
+        if ids.ndim and ids.shape != x_t.shape[:-2]:
+            # numpy would broadcast a 1-id array over every record
+            raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
         unknown = ids[(ids < 0) | (ids >= len(family.means))]  # numpy would wrap -1
         if unknown.size:
             raise ValueError(f"unknown class id {unknown.flat[0]}")

@@ -226,6 +226,19 @@ def test_predictor_validation():
         predict_noise(x, 0, 0, sched, models)
 
 
+def test_predictor_rejects_class_ids_of_another_length():
+    sched = make_cosine_schedule(100)
+    models, _ = make_bump_dataset(3, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
+    batch = np.random.default_rng(9).standard_normal((5, 6, 6))
+    # a 1-id array used to be broadcast over all 5 records
+    for x, cond in ((batch, [1]), (batch, [1, 0, 2]), (batch, [[0], [1], [2], [0], [1]]), (batch[0], [1])):
+        with pytest.raises(ValueError, match="must match x's records"):
+            predict_noise(x, np.array(cond), 73, sched, models)
+    # a 0-d id array is one class for every record, as an int id is
+    assert np.array_equal(predict_noise(batch, np.array(2), 73, sched, models),
+                          predict_noise(batch, 2, 73, sched, models))
+
+
 def test_class_model_validation():
     with pytest.raises(ValueError):
         ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.zeros((2, 2)))

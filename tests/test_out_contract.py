@@ -39,18 +39,15 @@ CASES = {
     "cfg_combine-1": (lambda a, out: cfg_combine(a[0], a[1], 1.0, out=out), 2, 0),
     "cfg_combine-0": (lambda a, out: cfg_combine(a[0], a[1], 0.0, out=out), 2, 0),
     "tweedie_x0": (lambda a, out: tweedie_x0(a[0], a[1], 600, SCHED, out=out), 2, 1),
-    "step_ancestral": (
-        lambda a, out: step_ancestral(a[0], a[1], 600, 560, SCHED, np.random.default_rng(5), out=out),
-        2, 0,
-    ),
+    # the step noise is an input too: the third array, or a fresh per-record draw
+    "step_ancestral": (lambda a, out: step_ancestral(a[0], a[1], 600, 560, SCHED, a[2], out=out), 3, 0),
     "step_ancestral-records": (
-        lambda a, out: step_ancestral(a[0], a[1], 600, 560, SCHED, _RecordStreams([1, 2, 3, 4, 5]), out=out),
+        lambda a, out: step_ancestral(
+            a[0], a[1], 600, 560, SCHED, _RecordStreams([1, 2, 3, 4, 5]).standard_normal(SHAPE), out=out
+        ),
         2, 0,
     ),
-    "step_ancestral-terminal": (
-        lambda a, out: step_ancestral(a[0], a[1], 40, 0, SCHED, np.random.default_rng(5), out=out),
-        2, 0,
-    ),
+    "step_ancestral-terminal": (lambda a, out: step_ancestral(a[0], a[1], 40, 0, SCHED, None, out=out), 2, 0),
     "step_dpm_pp_2m-first": (
         lambda a, out: step_dpm_pp_2m(a[0], a[1], None, (None, 600, 560), SCHED, out=out), 2, None,
     ),

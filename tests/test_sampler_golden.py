@@ -1,11 +1,14 @@
-"""Golden sha256 digests of the reverse-process outputs.
+"""Golden digests and moment summaries of the reverse-process outputs.
 
 test_golden_digest in test_acceptance.py pins the guided DPM-Solver++(2M)
 path through the default experiment's artifacts; these digests also pin
 the 1000-step ancestral path, the batch samplers and a batch of ancestral
-records with their own seeds and masks, byte for byte. They hold for the
-recorded environment only (the same rule as test_golden_digest); after an
-intended change of results, regenerate the file with
+records with their own seeds and masks, byte for byte. The sha256 digests
+hold for the recorded environment only (the same rule as
+test_golden_digest). The samplers make no BLAS call, so each output's
+images also have a float summary (mean, sd and five quantiles) that is
+checked at rtol 1e-9 on every machine. After an intended change of
+results, regenerate both files with
 
     PYTHONPATH=src python tests/test_sampler_golden.py
 """
@@ -30,6 +33,8 @@ from noisecutmix import (
 from test_acceptance import _environment
 
 GOLDEN = Path(__file__).parent / "golden" / "samplers.json"
+SUMMARY = Path(__file__).parent / "golden" / "sampler_summary.json"
+QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
 
 
 def _sha256(*arrays):
@@ -44,7 +49,7 @@ def _ancestral_single():
     sched = make_cosine_schedule(1000)
     unit = [ClassModel(class_id=0, mean=np.zeros((8, 8)), var=np.ones((8, 8)))]
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=1000, guidance_scale=1.0)
-    return _sha256(sample_single_batch(0, cfg, sched, unit, seed=11, n=64))
+    return (sample_single_batch(0, cfg, sched, unit, seed=11, n=64),)
 
 
 def _dpm_mixed():
@@ -54,7 +59,7 @@ def _dpm_mixed():
     mask = np.zeros((16, 16), dtype=np.uint8)
     mask[:, :8] = 1
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=25, guidance_scale=7.5)
-    return _sha256(sample_noisecutmix_batch(0, 1, mask, cfg, sched, bumps, seed=12, n=64))
+    return (sample_noisecutmix_batch(0, 1, mask, cfg, sched, bumps, seed=12, n=64),)
 
 
 def _ancestral_records():
@@ -67,9 +72,10 @@ def _ancestral_records():
         class_a, class_b, cfg, sched, models, seeds=[5, 17, 29, 41, 53, 65], alpha=1.0
     )
     masks = np.stack([mask_from_rect(16, 16, p.rect) for p in provs])
-    return _sha256(images, labels, masks)
+    return images, labels, masks
 
 
+# name: the arrays the digest covers, images first
 OUTPUTS = {
     "sample_single_batch": _ancestral_single,
     "sample_noisecutmix_batch": _dpm_mixed,
@@ -77,10 +83,18 @@ OUTPUTS = {
 }
 
 
+def _summary(images):
+    """The images' mean, sd and QUANTILES, as one list of floats."""
+    return [float(images.mean()), float(images.std()), *map(float, np.quantile(images, QUANTILES))]
+
+
 def write_golden():
-    doc = {"environment": _environment(), "sha256": {n: f() for n, f in OUTPUTS.items()}}
+    outputs = {n: f() for n, f in OUTPUTS.items()}
+    doc = {"environment": _environment(), "sha256": {n: _sha256(*a) for n, a in outputs.items()}}
+    summary = {"quantiles": list(QUANTILES), "mean_sd_quantiles": {n: _summary(a[0]) for n, a in outputs.items()}}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    for path, content in ((GOLDEN, doc), (SUMMARY, summary)):
+        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
@@ -89,7 +103,17 @@ def test_sampler_golden_digest(name):
     here = _environment()
     if golden["environment"] != here:
         pytest.skip(f"sampler digests recorded under {golden['environment']}, running under {here}")
-    assert OUTPUTS[name]() == golden["sha256"][name], f"{name} differs from {GOLDEN.name}"
+    assert _sha256(*OUTPUTS[name]()) == golden["sha256"][name], f"{name} differs from {GOLDEN.name}"
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_sampler_golden_summary(name):
+    golden = json.loads(SUMMARY.read_text(encoding="ascii"))
+    assert golden["quantiles"] == list(QUANTILES)
+    np.testing.assert_allclose(
+        _summary(OUTPUTS[name]()[0]), golden["mean_sd_quantiles"][name], rtol=1e-9, atol=0.0,
+        err_msg=f"{name} differs from {SUMMARY.name}",
+    )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from noisecutmix import (
     step_dpm_pp_2m,
     timestep_grid,
 )
+from noisecutmix import samplers
+from noisecutmix.classmodels import class_family
 from noisecutmix.mixing import realized_lambda
-from noisecutmix.samplers import child_rng, guided_eps_fn, tweedie_x0
+from noisecutmix.samplers import _RecordStreams, child_rng, guided_eps_fn, run_reverse, tweedie_x0
 
 
 @pytest.fixture(scope="module")
@@ -52,24 +56,32 @@ def test_ancestral_inverts_forward_map(sched):
     eps = rng.standard_normal((6, 6))
     for t in (1, 250, 1000):
         x_t = forward_noise(x0, eps, t, sched)
-        rec = step_ancestral(x_t, eps, t, 0, sched, rng)
+        rec = step_ancestral(x_t, eps, t, 0, sched, None)
         assert np.max(np.abs(rec - x0)) <= 1e-9
 
 
 def test_ancestral_zero_state(sched):
-    rng = np.random.default_rng(1)
     z = np.zeros((4, 4))
-    out = step_ancestral(z, z, 500, 0, sched, rng)
+    out = step_ancestral(z, z, 500, 0, sched, None)
     assert np.array_equal(out, z)
 
 
 def test_ancestral_rejects_nondecreasing_steps(sched):
-    rng = np.random.default_rng(2)
     x = np.zeros((4, 4))
     with pytest.raises(ValueError):
-        step_ancestral(x, x, 5, 5, sched, rng)
+        step_ancestral(x, x, 5, 5, sched, x)
     with pytest.raises(ValueError):
-        step_ancestral(x, x, 5, 9, sched, rng)
+        step_ancestral(x, x, 5, 9, sched, x)
+
+
+def test_ancestral_step_noise_must_fit_the_step(sched):
+    x = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="terminal step takes no noise"):
+        step_ancestral(x, x, 5, 0, sched, x)
+    with pytest.raises(ValueError, match="needs its noise draw"):
+        step_ancestral(x, x, 5, 3, sched, None)
+    with pytest.raises(ValueError, match="noise of shape"):
+        step_ancestral(x, x, 5, 3, sched, np.zeros((1, 4)))  # would broadcast
 
 
 def test_dpm_equal_predictions_reduce_to_first_order(sched):
@@ -121,7 +133,7 @@ def test_terminal_steps_of_both_integrators_agree(sched):
     x = rng.standard_normal((4, 4))
     eps_hat = rng.standard_normal((4, 4))
     pred = tweedie_x0(x, eps_hat, t_last, sched)
-    anc = step_ancestral(x, eps_hat, t_last, t_end, sched, rng)
+    anc = step_ancestral(x, eps_hat, t_last, t_end, sched, None)
     dpm = step_dpm_pp_2m(x, pred, None, (None, t_last, t_end), sched)
     assert np.max(np.abs(anc - dpm)) <= 1e-6
 
@@ -240,6 +252,99 @@ def test_batched_path_matches_per_record_path(sched, bump_models):
     batch = sample_single_batch(0, cfg, sched, bump_models, seed=31, n=1)
     images, _, _ = generate_batch([0], None, cfg, sched, bump_models, [31])
     assert np.array_equal(batch, images)
+
+
+def _serial_ancestral(cond, cfg, sched, models, rng, n):
+    """run_reverse's ancestral path as a plain loop: draw the step's noise, then step."""
+    family = class_family(models)
+    x = rng.standard_normal((n,) + family.means.shape[1:])
+    eps_fn = guided_eps_fn(cond, None, None, cfg, sched, family, x.shape)
+    ts = timestep_grid(sched.num_steps, cfg.num_inference_steps).tolist()
+    for t_from, t_to in zip(ts[:-1], ts[1:]):
+        noise = rng.standard_normal(x.shape) if t_to > 0 else None
+        x = step_ancestral(x, eps_fn(x, t_from), t_from, t_to, sched, noise)
+    return x
+
+
+def _generator_states(rng):
+    return [g.bit_generator.state for g in getattr(rng, "rngs", [rng])]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 1000])
+@pytest.mark.parametrize("streams", ["generator", "records"])
+@pytest.mark.parametrize("ring", [0, 2, 3], ids=["caller", "worker-ring2", "worker-ring3"])
+def test_ancestral_run_matches_serial_draw_loop(sched, bump_models, steps, streams, ring, monkeypatch):
+    # bit-equal images and the same generator states after the call, so the
+    # draws come in the serial order, with or without the worker and its
+    # ring of noise buffers, and the terminal step draws none
+    monkeypatch.setattr(samplers, "_OVERLAP_MIN_VALUES", 0 if ring else 1 << 62)
+    monkeypatch.setattr(samplers, "_DRAW_AHEAD_BYTES", ring * 3 * 8 * 8 * 8)  # ring draws of (3, 8, 8)
+    cfg = SamplerConfig(kind="ancestral", num_inference_steps=steps, guidance_scale=7.5)
+    if streams == "generator":
+        cond, make_rng = 1, lambda: child_rng(23, 1)
+    else:
+        cond, make_rng = np.array([0, 1, 1]), lambda: _RecordStreams([4, 8, 15])
+    rng, ref_rng = make_rng(), make_rng()
+    images = run_reverse(cond, None, None, cfg, sched, bump_models, rng, 3)
+    assert np.array_equal(images, _serial_ancestral(cond, cfg, sched, bump_models, ref_rng, 3))
+    assert _generator_states(rng) == _generator_states(ref_rng)
+
+
+class _ThreadRecordingRng:
+    """A generator that notes the thread of every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.threads = []
+
+    def standard_normal(self, shape, out=None):
+        self.threads.append(threading.get_ident())
+        return self.rng.standard_normal(shape, out=out)
+
+
+def test_ancestral_worker_is_joined_on_success_and_on_error(sched, bump_models):
+    cfg = SamplerConfig(kind="ancestral", num_inference_steps=20, guidance_scale=7.5)
+    n = samplers._OVERLAP_MIN_VALUES // 64  # the smallest 8x8 batch whose draws overlap
+    caller, before = threading.get_ident(), threading.active_count()
+    rng = _ThreadRecordingRng(child_rng(1, 1))
+    run_reverse(0, None, None, cfg, sched, bump_models, rng, n)
+    assert threading.active_count() == before
+    # the initial noise is drawn by the caller, every step's noise by the worker
+    assert len(rng.threads) == 20 and rng.threads[0] == caller and caller not in rng.threads[1:]
+
+    # the first step's prediction raises while the next step's draw is in flight
+    cond = np.zeros(n, dtype=np.int64)
+    cond[1] = 7
+    with pytest.raises(ValueError, match="^unknown class id 7$"):
+        run_reverse(cond, None, None, cfg, sched, bump_models, _ThreadRecordingRng(child_rng(1, 1)), n)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kind, n", [("dpm_solver_pp_2m", 4), ("dpm_solver_pp_2m", 1024), ("ancestral", 511)])
+def test_no_worker_for_dpm_or_small_draws(sched, bump_models, kind, n, monkeypatch):
+    # 511 8x8 records are one row short of _OVERLAP_MIN_VALUES values
+    def no_executor(*args, **kwargs):
+        raise AssertionError("an executor was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
+    cfg = SamplerConfig(kind=kind, num_inference_steps=10, guidance_scale=7.5)
+    before, rng = threading.active_count(), _ThreadRecordingRng(child_rng(2, 1))
+    images = run_reverse(0, None, None, cfg, sched, bump_models, rng, n)
+    assert images.shape == (n, 8, 8) and threading.active_count() == before
+    assert set(rng.threads) == {threading.get_ident()}
+
+
+def test_noisecutmix_batch_rejects_non_binary_mask(sched, bump_models):
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=7.5)
+    # 0.7 used to be cast to 0 (all class B) and 2 to 1 (all class A)
+    for value in (0.7, 2, -1, np.nan):
+        with pytest.raises(ValueError, match="mask values must be 0 or 1"):
+            sample_noisecutmix_batch(0, 1, np.full((8, 8), value), cfg, sched, bump_models, 3, 2)
+    mask = np.zeros((8, 8), dtype=np.uint8)
+    mask[:, :4] = 1
+    as_uint8 = sample_noisecutmix_batch(0, 1, mask, cfg, sched, bump_models, 3, 2)
+    for same in (mask.astype(bool), mask.astype(np.float64)):
+        assert np.array_equal(sample_noisecutmix_batch(0, 1, same, cfg, sched, bump_models, 3, 2), as_uint8)
 
 
 def test_child_streams_are_independent():
