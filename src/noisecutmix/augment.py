@@ -86,7 +86,6 @@ def apply_policy(
     batch: tuple[np.ndarray, np.ndarray],
     policy: AugmentPolicy,
     rng: np.random.Generator,
-    trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the mixing policy to a batch (images (N, H, W), labels (N, K))
     with the configured probability.
@@ -94,8 +93,7 @@ def apply_policy(
     The gate is drawn once per batch; when it does not fire, the batch
     object itself is returned. When it fires, a random permutation
     assigns each element a partner and each pair is mixed with its own
-    ratio draw into new arrays. trace, if given, collects
-    (index, partner, lambda) triples for replay-style verification.
+    ratio draw into new arrays.
     """
     images, labels = batch
     if np.ndim(images) != 3 or np.ndim(labels) != 2 or len(images) != len(labels):
@@ -112,6 +110,4 @@ def apply_policy(
         return batch
     perm = rng.permutation(n)
     lam, masks = _draw(n, policy.alpha, rng, (w, h) if policy.kind == "cutmix" else None)
-    if trace is not None:
-        trace.extend(zip(range(n), perm.tolist(), lam.tolist()))
     return _mix(images, labels, images[perm], labels[perm], lam, masks)

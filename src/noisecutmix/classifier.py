@@ -26,6 +26,10 @@ _POLICY_STREAM = 13
 # how far a training label's row sum may sit from 1 (mixed labels round off)
 LABEL_SUM_TOL = 1e-9
 MIN_TRAIN_SAMPLES = 10
+# Adam's b1, b2 and eps
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @functools.cache
@@ -61,9 +65,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.001
     epochs: int = 30
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     val_fraction: float = 0.2
     hidden: int = 64
     seed: int = 0
@@ -167,20 +168,19 @@ class _Adam:
 
     def step(self, params: np.ndarray, g: np.ndarray):
         self.t += 1
-        c = self.cfg
         m, v, a, b = self.m, self.v, self._a, self._b
-        np.multiply(m, c.beta1, out=m)
-        np.multiply(g, 1.0 - c.beta1, out=a)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, c.beta2, out=v)
-        np.multiply(g, 1.0 - c.beta2, out=a)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         np.multiply(a, g, out=a)
         np.add(v, a, out=v)
-        np.divide(m, 1.0 - c.beta1 ** self.t, out=a)
-        np.multiply(a, c.learning_rate, out=a)
-        np.divide(v, 1.0 - c.beta2 ** self.t, out=b)
+        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=a)
+        np.multiply(a, self.cfg.learning_rate, out=a)
+        np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=b)
         np.sqrt(b, out=b)
-        np.add(b, c.adam_eps, out=b)
+        np.add(b, ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         np.subtract(params, a, out=params)
 

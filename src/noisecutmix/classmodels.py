@@ -9,9 +9,9 @@ so the optimal noise predictor is available in closed form:
     eps*(x) = -sqrt(1 - abar_t) * grad log p_t(x)
             = sqrt(1 - abar_t) * (x - sqrt(abar_t) mu_c) / v_t     (conditional)
 
-For the unconditional branch p_t is the weighted mixture over all
-classes and the score is the responsibility-weighted sum of per-class
-scores, with responsibilities computed in log space.
+For the unconditional branch p_t is the uniform mixture over all K
+classes (prior 1/K each) and the score is the responsibility-weighted
+sum of per-class scores, with responsibilities computed in log space.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class ClassModel:
     class_id: int
     mean: np.ndarray  # (H, W)
     var: np.ndarray   # (H, W), all >= VAR_FLOOR
-    weight: float = 1.0
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -46,8 +45,6 @@ class ClassModel:
             raise ValueError("class mean must be finite")
         if np.any(self.var < VAR_FLOOR):
             raise ValueError(f"variances must be >= {VAR_FLOOR}")
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError("mixture weight must lie in (0, 1]")
 
 
 def _bump_centers(num_classes: int, width: int, height: int) -> list[tuple[float, float]]:
@@ -101,7 +98,7 @@ def make_bump_dataset(
     for c, (cx, cy) in enumerate(centers):
         mean = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * bump_sigma ** 2))
         var = np.full((height, width), float(noise_var))
-        models.append(ClassModel(class_id=c, mean=mean, var=var, weight=1.0 / num_classes))
+        models.append(ClassModel(class_id=c, mean=mean, var=var))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
     images = rng.standard_normal((num_classes, n_per_class, height, width))
@@ -115,9 +112,8 @@ def make_bump_dataset(
 class ClassFamily:
     """The K class models stacked: class c is row c of every array."""
 
-    means: np.ndarray        # (K, H, W)
-    variances: np.ndarray    # (K, H, W)
-    log_weights: np.ndarray  # (K,)
+    means: np.ndarray      # (K, H, W)
+    variances: np.ndarray  # (K, H, W)
 
 
 def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
@@ -127,11 +123,7 @@ def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
         return models
     if not models or [m.class_id for m in models] != list(range(len(models))):
         raise ValueError("class models must be a non-empty list with class ids 0..K-1 in order")
-    return ClassFamily(
-        np.stack([m.mean for m in models]),
-        np.stack([m.var for m in models]),
-        np.array([math.log(m.weight) for m in models]),
-    )
+    return ClassFamily(np.stack([m.mean for m in models]), np.stack([m.var for m in models]))
 
 
 def _step_params(t: int, sched: Schedule):
@@ -180,12 +172,13 @@ def predict_noise(
         np.multiply(sqrt_1mab, eps, out=eps)
         return np.divide(eps, v, out=eps)
 
-    # log(w_c) + log N(x_t; sqrt(abar_t) mu_c, v_c) per class, totals over
+    # log(1/K) + log N(x_t; sqrt(abar_t) mu_c, v_c) per class, totals over
     # the trailing (H, W) axes, shape (K,) + batch shape
     v = ab * family.variances + (1.0 - ab)
+    log_w = math.log(1.0 / len(family.means))
     work = np.empty_like(x_t)
     log_dens = []
-    for mean, v_c, log_w in zip(family.means, v, family.log_weights):
+    for mean, v_c in zip(family.means, v):
         z = np.subtract(x_t, sqrt_ab * mean, out=work)
         np.multiply(z, z, out=z)
         np.divide(z, v_c, out=z)

@@ -68,9 +68,8 @@ def _cmd_augment(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
     images, labels = read_records(args.input)
-    policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
     train_cfg = cfg.train_config(cfg.master_seed if args.seed is None else args.seed)
-    model, history = train(images, labels, train_cfg, policy)
+    model, history = train(images, labels, train_cfg, cfg.augment_policy(args.policy))
     save_classifier(args.model_out, model)
     if args.history_out:
         write_history(args.history_out, history)
@@ -149,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="experiment config JSON")
     t.add_argument("--input", required=True)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--policy", default="none", choices=POLICY_KINDS)
-    t.add_argument("--alpha", type=float, default=1.0)
-    t.add_argument("--probability", type=float, default=0.5)
+    t.add_argument("--policy", default="none", choices=POLICY_KINDS,
+                   help="pixel policy, at the config's alpha and augment_probability")
     t.add_argument("--model-out", required=True)
     t.add_argument("--history-out")
     t.set_defaults(func=_cmd_train)

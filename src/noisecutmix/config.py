@@ -12,7 +12,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .augment import AugmentPolicy
+from .augment import POLICY_KINDS, AugmentPolicy
 from .classifier import MIN_TRAIN_SAMPLES, TrainConfig, validation_size
 from .classmodels import make_bump_dataset
 from .errors import ConfigError
@@ -107,12 +107,12 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate methods in {self.methods}")
         try:
             # each component checks its own fields, so building them all rejects bad
-            # values before any write; every method's policy, configured or not
+            # values before any write; every policy kind, configured or not
             self.dataset(0, 0)
             self.sampler_config()
             self.train_config()
-            for method in METHODS:
-                self.augment_policy(method)
+            for kind in POLICY_KINDS:
+                self.augment_policy(kind)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         n_val = validation_size(n_real, self.val_fraction)
@@ -138,9 +138,8 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def augment_policy(self, method: str) -> AugmentPolicy:
-        """The pixel policy of a METHODS entry at this config's alpha and probability."""
-        kind = METHODS[method][1]
+    def augment_policy(self, kind: str) -> AugmentPolicy:
+        """The pixel policy of an augment.POLICY_KINDS entry at this config's alpha and probability."""
         alpha = {"cutmix": self.cutmix_alpha, "mixup": self.mixup_alpha}.get(kind, 1.0)
         return AugmentPolicy(kind, alpha, self.augment_probability)
 

@@ -113,7 +113,7 @@ def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int, t
     returns (test accuracy, the build_training_pool tuple it trained on)."""
     pool = build_training_pool(method, cfg, sched, seed)
     images, labels, synthetic, _ = pool
-    policy = cfg.augment_policy(method)
+    policy = cfg.augment_policy(METHODS[method][1])
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, _ = train(images, labels, train_cfg, policy, synthetic)
     return evaluate(model, *test_set), pool

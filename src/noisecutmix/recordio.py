@@ -68,8 +68,8 @@ def _fmt(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "-"
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite provenance value {value!r}")
         return repr(value)
     return str(value)
 
@@ -109,7 +109,8 @@ _PROV_COLUMNS = (
 
 
 def write_provenance(path: str | Path, provs: list[Provenance]) -> None:
-    """Tab-delimited sidecar, one line per record, '-' for absent fields."""
+    """Tab-delimited sidecar, one line per record, '-' for absent fields.
+    A non-finite float raises ValueError before the file is opened."""
     lines = ["# " + "\t".join(_PROV_COLUMNS)]
     for i, p in enumerate(provs):
         rect = p.rect if p.rect is not None else (None, None, None, None)

@@ -385,7 +385,11 @@ def generate_batch(
 def regenerate(
     prov: Provenance, sched: Schedule, models: ClassFamily | list[ClassModel]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A record's (image (H, W), label (K,)), rebuilt bit-exactly from its provenance."""
+    """A record's (image (H, W), label (K,)), rebuilt bit-exactly from its provenance.
+
+    The record follows from its method, classes, seed, sampler settings
+    and alpha; its ratios and rect must be the ones these give, else ValueError.
+    """
     cfg = SamplerConfig(
         kind=prov.sampler, num_inference_steps=prov.steps, guidance_scale=prov.guidance
     )
@@ -397,9 +401,11 @@ def regenerate(
         class_b = [prov.class_b]
     else:
         raise ValueError(f"unknown generation method {prov.method!r}")
-    images, labels, _ = generate_batch(
+    images, labels, (again,) = generate_batch(
         [prov.class_a], class_b, cfg, sched, models, [prov.seed], prov.alpha
     )
+    if again != prov:
+        raise ValueError(f"provenance {prov} does not match its seed's record {again}")
     return images[0], labels[0]
 
 

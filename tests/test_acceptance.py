@@ -55,7 +55,7 @@ def _oracle_log_density(x, t, sched, models, cond):
         v = ab * m.var + (1.0 - ab)
         z = x - math.sqrt(ab) * m.mean
         ll = -0.5 * np.sum(np.log(2.0 * np.pi * v) + z * z / v)
-        logs.append((math.log(m.weight) if cond is None else 0.0) + ll)
+        logs.append((math.log(1.0 / len(models)) if cond is None else 0.0) + ll)
     top = max(logs)
     return top + math.log(sum(math.exp(v - top) for v in logs))
 

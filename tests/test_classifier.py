@@ -14,7 +14,7 @@ from noisecutmix import (
     train,
 )
 from noisecutmix import classifier
-from noisecutmix.classifier import _Adam, _loss_and_grads, validation_split
+from noisecutmix.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Adam, _loss_and_grads, validation_split
 from noisecutmix.samplers import child_rng
 
 
@@ -197,11 +197,11 @@ def test_adam_flat_step_matches_named_reference():
         grads = {name: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for name, p in ref.items()}
         adam.step(model.params, np.concatenate([g.ravel() for g in grads.values()]))
         for name, g in grads.items():
-            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
-            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
-            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
-            ref[name] = ref[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
+            ref[name] = ref[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         for name in ref:
             assert np.array_equal(getattr(model, name), ref[name])
 

@@ -26,7 +26,7 @@ def oracle_log_density(x, t, sched, models, cond=None):
         v = ab * m.var + (1.0 - ab)
         z = x - math.sqrt(ab) * m.mean
         ll = -0.5 * np.sum(np.log(2.0 * np.pi * v) + z * z / v)
-        logs.append((math.log(m.weight) if cond is None else 0.0) + ll)
+        logs.append((math.log(1.0 / len(models)) if cond is None else 0.0) + ll)
     m0 = max(logs)
     return m0 + math.log(sum(math.exp(v - m0) for v in logs))
 
@@ -194,7 +194,6 @@ def test_predictor_class_id_array_matches_int_calls():
 def test_class_family_predicts_like_its_model_list():
     sched = make_cosine_schedule(200)
     models, _ = make_bump_dataset(3, 7, 5, 1.2, 0.3, seed=5, n_per_class=0)
-    models[1].weight = 0.5  # unequal mixture weights
     family = class_family(models)
     assert class_family(family) is family
     batch = np.random.default_rng(8).standard_normal((4, 5, 7))
@@ -244,5 +243,3 @@ def test_class_model_validation():
         ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ClassModel(class_id=0, mean=np.full((2, 2), np.nan), var=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.ones((2, 2)), weight=0.0)

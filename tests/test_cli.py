@@ -105,6 +105,32 @@ def test_train_and_evaluate_subcommands(tmp_path, cfg_path):
     assert code == 0
 
 
+def test_train_takes_its_policy_from_the_config(tmp_path, cfg_path):
+    # train's --alpha and --probability used to shadow the config's mixup_alpha and
+    # augment_probability; the experiment's mixup method always read the config
+    from noisecutmix import AugmentPolicy, load_config, train
+    from noisecutmix.recordio import save_classifier
+
+    data, model = tmp_path / "data", tmp_path / "model.bin"
+    main(["generate", "--config", str(cfg_path), "--method", "gen_random",
+          "--count", "24", "--seed", "8", "--out", str(data)])
+    assert main(["train", "--config", str(cfg_path), "--input", f"{data}.records", "--seed", "5",
+                 "--policy", "mixup", "--model-out", str(model)]) == 0
+    cfg = load_config(cfg_path)
+    assert cfg.augment_policy("mixup") == AugmentPolicy("mixup", 0.2, 0.5)
+    images, labels = read_records(f"{data}.records")
+    expected = {}
+    for name, policy in (("config", cfg.augment_policy("mixup")), ("old flags", AugmentPolicy("mixup", 1.0, 0.5))):
+        save_classifier(tmp_path / name, train(images, labels, cfg.train_config(5), policy)[0])
+        expected[name] = (tmp_path / name).read_bytes()
+    assert model.read_bytes() == expected["config"] != expected["old flags"]
+    for flag in ("--alpha", "--probability"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--config", str(cfg_path), "--input", f"{data}.records", "--policy", "mixup",
+                  flag, "0.2", "--model-out", str(tmp_path / "x.bin")])
+        assert excinfo.value.code == 2
+
+
 def test_evaluate_rejects_bad_models(tmp_path, cfg_path, capsys):
     from noisecutmix import init_classifier
     from noisecutmix.recordio import save_classifier

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import types
@@ -19,6 +20,7 @@ from noisecutmix import (
     run_method,
 )
 from noisecutmix import cli, harness
+from noisecutmix.augment import POLICY_KINDS
 from noisecutmix.config import METHODS, OUTPUT_DIR_ENV
 from noisecutmix.harness import (
     build_training_pool,
@@ -181,7 +183,38 @@ def test_method_policies_take_the_config_alphas():
     cfg = ExperimentConfig(cutmix_alpha=0.7, mixup_alpha=0.3, augment_probability=0.25)
     for method, (_, kind) in METHODS.items():
         alpha = {"cutmix": 0.7, "mixup": 0.3}.get(kind, 1.0)
-        assert cfg.augment_policy(method) == AugmentPolicy(kind, alpha, 0.25), method
+        assert cfg.augment_policy(kind) == AugmentPolicy(kind, alpha, 0.25), method
+
+
+def _component_settings(cfg):
+    """(class, field, position) -> value of every field of every component cfg builds."""
+    built = [cfg.train_config(), cfg.sampler_config(), *map(cfg.augment_policy, POLICY_KINDS)]
+    return {(type(c).__name__, f.name, i): getattr(c, f.name)
+            for i, c in enumerate(built) for f in dataclasses.fields(c)}
+
+
+def _another_value(name, value):
+    """A valid value of config field name other than value."""
+    other = {"sampler_kind": "ancestral", "methods": ["original"], "output_dir": "elsewhere"}
+    if name in other:
+        return other[name]
+    return value / 2.0 if isinstance(value, float) else value + 1
+
+
+def test_every_component_setting_has_a_config_source():
+    # a component field no config field reaches is a setting with no source but its
+    # default; the Adam constants used to be TrainConfig fields of that kind
+    base = ExperimentConfig()
+    before = _component_settings(base)
+    reached = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        cfg = dataclasses.replace(base, **{f.name: _another_value(f.name, getattr(base, f.name))})
+        for key, value in _component_settings(cfg).items():
+            if value != before[key]:
+                reached.setdefault(key[:2], set()).add(f.name)
+    unreached = {key[:2] for key in before if key[1] not in ("seed", "kind")} - set(reached)
+    assert not unreached, f"component fields no config field sets: {sorted(unreached)}"
+    assert reached[("AugmentPolicy", "alpha")] == {"cutmix_alpha", "mixup_alpha"}
 
 
 def test_all_is_the_public_names():

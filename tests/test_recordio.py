@@ -123,6 +123,9 @@ def test_provenance_round_trip(tmp_path, records):
     provs = read_provenance(path)
     assert len(provs) == 3
     assert provs == records[2]  # floats round-trip exactly via repr
+    for p, again in zip(records[2], provs):
+        for name, value in vars(p).items():
+            assert type(getattr(again, name)) is type(value), name
 
 
 def test_provenance_rejects_partly_given_rect(tmp_path, records):
@@ -295,6 +298,22 @@ def test_failed_write_leaves_no_file(tmp_path, records, writer):
     path.write_bytes(b"old")
     with pytest.raises(UnicodeEncodeError):
         write()
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("field", ["lambda_sampled", "lambda_real", "rect", "guidance", "alpha"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_provenance_rejects_non_finite_before_writing(tmp_path, records, field, bad):
+    # NaN used to be written as '-', so a NaN lambda_real made the file unreadable
+    path = tmp_path / "batch.prov"
+    mixed = records[2][1]
+    value = (bad, *mixed.rect[1:]) if field == "rect" else bad
+    edited = Provenance(**{**vars(mixed), field: value})
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match="non-finite provenance value"):
+        write_provenance(path, [edited])
+    with pytest.raises(ValueError, match="non-finite provenance value"):
+        write_provenance(tmp_path / "new.prov", [mixed, edited])
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import threading
 
@@ -201,6 +202,27 @@ def test_regenerate_is_bit_exact(sched, bump_models):
     image, label = regenerate(prov, sched, bump_models)
     assert np.array_equal(images[0], image)
     assert np.array_equal(labels[0], label)
+
+
+def test_regenerate_rejects_edited_provenance(sched, bump_models):
+    # a rect, ratio or pairing its seed does not give raises; it used to rebuild the
+    # seed's record and label, bit for bit, whatever the other fields said
+    cfg = SamplerConfig(num_inference_steps=4)
+    _, _, (mixed,) = generate_batch([1], [0], cfg, sched, bump_models, [5], 0.7)
+    _, _, (single,) = generate_batch([1], None, cfg, sched, bump_models, [6])
+    edits = [
+        (mixed, {"rect": (1.0, 2.0, 3.0, 3.0)}),
+        (mixed, {"lambda_real": 0.5}),
+        (mixed, {"lambda_sampled": 0.5}),
+        (mixed, {"method": "single"}),
+        (mixed, {"class_b": None}),
+        (single, {"class_b": 0}),
+        (single, {"method": "noisecutmix"}),
+        (single, {"method": "pixel"}),
+    ]
+    for prov, edit in edits:
+        with pytest.raises(ValueError):
+            regenerate(dataclasses.replace(prov, **edit), sched, bump_models)
 
 
 def test_generate_rejects_unknown_class(sched, bump_models):

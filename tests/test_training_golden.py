@@ -34,7 +34,7 @@ def _trained(method):
     seed = trial_seed(cfg.master_seed, method, 0)
     images, labels, synthetic, _ = build_training_pool(method, cfg, make_cosine_schedule(cfg.schedule_steps), seed)
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
-    model, history = train(images, labels, train_cfg, cfg.augment_policy(method), synthetic)
+    model, history = train(images, labels, train_cfg, cfg.augment_policy(METHODS[method][1]), synthetic)
     return {
         "params_sha256": hashlib.sha256(model.params.tobytes()).hexdigest(),
         "history": [[h.epoch, h.train_loss, h.val_accuracy] for h in history],
