@@ -13,7 +13,7 @@ from .classmodels import ClassFamily, ClassModel, class_family, make_bump_datase
 from .config import METHODS, ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, NumericalDivergence
 from .harness import ResultRow, ResultTable, export_grid, run_experiment, run_method
-from .mixing import MaskSpec, mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
+from .mixing import mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
 from .samplers import (
     Provenance,
     SamplerConfig,
@@ -36,7 +36,7 @@ __all__ = [
     "METHODS", "ExperimentConfig", "config_from_dict", "load_config",
     "ConfigError", "NumericalDivergence",
     "ResultRow", "ResultTable", "export_grid", "run_experiment", "run_method",
-    "MaskSpec", "mask_from_rect", "mix_labels", "one_hot", "sample_lambda", "sample_mask",
+    "mask_from_rect", "mix_labels", "one_hot", "sample_lambda", "sample_mask",
     "Provenance", "SamplerConfig", "generate_batch", "regenerate",
     "sample_noisecutmix_batch", "sample_single_batch",
     "step_ancestral", "step_dpm_pp_2m", "timestep_grid",

@@ -5,7 +5,7 @@ generator-augmented training sets. apply_policy gates per batch and
 pairs each element with a random permutation partner, drawing a fresh
 ratio (and rectangle, for CutMix) per pair. The scalar draws run in one
 short loop; the masks and the mixing then run once over the whole batch.
-The cut size and the realized ratio come from mixing, as in generation.
+The rectangle draw and the realized ratio come from mixing, as in generation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import cut_size, mask_from_rect, realized_lambda, sample_lambda
+from .mixing import mask_from_rect, realized_lambda, sample_lambda, sample_mask
 
 POLICY_KINDS = ("none", "cutmix", "mixup")
 
@@ -33,31 +33,6 @@ class AugmentPolicy:
             raise ValueError("probability must lie in [0, 1]")
         if self.kind != "none" and not 0.0 < self.alpha < math.inf:
             raise ValueError(f"{self.kind} alpha must be finite and positive, got {self.alpha!r}")
-
-
-def _draw(n, alpha, rng, grid=None):
-    """n mixing ratios and, for a (W, H) grid, n CutMix masks (N, H, W), else None.
-
-    Per row, in this order: the ratio from Beta(alpha, alpha), then, on a
-    grid and only for a ratio other than exactly 1.0, the rectangle center
-    x ~ Unif(0, W) and y ~ Unif(0, H). The rectangle measures
-    mixing.cut_size; a row with ratio 1.0 draws no center and cuts nothing.
-    """
-    lams, centers = [], np.zeros((n, 2))
-    for i in range(n):
-        lam = sample_lambda(alpha, rng)
-        lams.append(lam)
-        if grid is not None and lam != 1.0:
-            centers[i] = rng.uniform(0.0, grid[0]), rng.uniform(0.0, grid[1])
-    lam = np.array(lams, dtype=np.float64)
-    if grid is None:
-        return lam, None
-    width, height = grid
-    cut = lam != 1.0
-    masks = np.ones((n, height, width), dtype=np.uint8)
-    rects = np.column_stack([centers, *cut_size(width, height, lam)])
-    masks[cut] = mask_from_rect(width, height, rects[cut])
-    return lam, masks
 
 
 def _mix(images_a, labels_a, images_b, labels_b, lam, masks=None):
@@ -92,8 +67,9 @@ def apply_policy(
 
     The gate is drawn once per batch; when it does not fire, the batch
     object itself is returned. When it fires, a random permutation
-    assigns each element a partner and each pair is mixed with its own
-    ratio draw into new arrays.
+    assigns each element a partner and each pair is mixed into new arrays
+    with its own ratio draw and, for CutMix, then its own sample_mask
+    rectangle.
     """
     images, labels = batch
     if np.ndim(images) != 3 or np.ndim(labels) != 2 or len(images) != len(labels):
@@ -109,5 +85,11 @@ def apply_policy(
     if rng.random() >= policy.probability:
         return batch
     perm = rng.permutation(n)
-    lam, masks = _draw(n, policy.alpha, rng, (w, h) if policy.kind == "cutmix" else None)
-    return _mix(images, labels, images[perm], labels[perm], lam, masks)
+    cutmix = policy.kind == "cutmix"
+    lams, rects = [], []
+    for _ in range(n):
+        lams.append(sample_lambda(policy.alpha, rng))
+        if cutmix:
+            rects.append(sample_mask(w, h, lams[-1], rng))
+    masks = mask_from_rect(w, h, rects) if cutmix else None
+    return _mix(images, labels, images[perm], labels[perm], np.array(lams), masks)

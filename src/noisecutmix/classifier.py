@@ -206,9 +206,12 @@ def validation_split(
 
 @_one_blas_thread()
 def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) -> float:
-    """Top-1 accuracy against class ids; argmax ties break toward the lowest class index."""
+    """Top-1 accuracy against class ids; argmax ties break toward the lowest class index.
+    Non-finite images raise ValueError."""
     if len(images) == 0:
         raise ValueError("testset must not be empty")
+    if not np.all(np.isfinite(images)):
+        raise ValueError("images must be finite")
     pred = np.argmax(model.logits(images.reshape(len(images), -1)), axis=1)
     return float(np.mean(pred == class_ids))
 
@@ -235,7 +238,8 @@ def train(
     seeded shuffle); synthetic samples always train. Validation is
     scored top-1 against hard (argmax) labels. Returns the parameter
     snapshot from the epoch with the highest validation accuracy (ties
-    resolve to the earlier epoch) and the per-epoch history.
+    resolve to the earlier epoch) and the per-epoch history. Non-finite
+    images and labels off the probability simplex raise ValueError.
     """
     if policy is None:
         policy = AugmentPolicy(kind="none")
@@ -246,6 +250,8 @@ def train(
         synthetic = np.zeros(n, dtype=bool)
     if len(labels) != n or len(synthetic) != n:
         raise ValueError("labels and synthetic flags must match the number of images")
+    if not np.all(np.isfinite(images)):
+        raise ValueError("images must be finite")
     if not (np.all(np.isfinite(labels)) and np.all(labels >= 0.0)
             and np.all(np.abs(labels.sum(axis=1) - 1.0) <= LABEL_SUM_TOL)):
         raise ValueError(

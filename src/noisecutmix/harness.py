@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import evaluate, train
 from .classmodels import ClassModel
 from .config import METHODS, ExperimentConfig, dump_config
-from .mixing import mask_from_rect
+from .mixing import NO_CUT, mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
 from .samplers import Provenance, child_rng, generate_batch
 from .schedule import Schedule, make_cosine_schedule
@@ -166,8 +166,8 @@ def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -
         tiles = np.round((images - lo) / span * 255.0).astype(np.uint8)
     else:
         tiles = np.zeros(images.shape, dtype=np.uint8)
-    # a rectangle off the grid cuts nothing: the all-ones mask of a record without a rect
-    rects = [p.rect or (-1.0, -1.0, 0.0, 0.0) for p in provs]
+    # a record without a rect keeps its one class everywhere, like a ratio of 1.0
+    rects = [p.rect or NO_CUT for p in provs]
     mask_tiles = mask_from_rect(w, h, rects) * np.uint8(255)
     sep = np.uint8(128)
     rows = []

@@ -2,28 +2,21 @@
 
 The mixing ratio lambda is Beta(alpha, alpha) distributed. A rectangle
 of size (W sqrt(1-lambda)) x (H sqrt(1-lambda)) is centered at a
-uniformly drawn point and clipped to the grid; covered cells (center
-inside the rectangle) are zeroed. Because clipping can shrink the cut,
-the ratio actually used downstream, lambda_real, is always recomputed
-from the realized zero area.
+uniformly drawn point (none for lambda 1.0, which cuts nothing) and
+clipped to the grid; covered cells (center inside the rectangle) are
+zeroed. Because clipping can shrink the cut, the ratio actually used
+downstream, lambda_real, is always recomputed from the realized zero
+area.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class MaskSpec:
-    """One sampled mask: requested ratio, rectangle, realized mask and ratio."""
-
-    lambda_sampled: float
-    rect: tuple[float, float, float, float]  # (r_x, r_y, r_w, r_h), center + size
-    mask: np.ndarray  # (H, W) uint8, 0 inside the cut rectangle
-    lambda_real: float
+# the rectangle of a ratio of exactly 1.0: it cuts nothing
+NO_CUT = (0.0, 0.0, 0.0, 0.0)
 
 
 def _gamma_marsaglia_tsang(shape: float, rng: np.random.Generator) -> float:
@@ -88,36 +81,31 @@ def mask_from_rect(width: int, height: int, rect) -> np.ndarray:
     return (~(in_y[..., :, None] & in_x[..., None, :])).astype(np.uint8)
 
 
-def cut_size(width: int, height: int, lam):
-    """CutMix cut (W sqrt(1 - lam), H sqrt(1 - lam)), elementwise on a float or an array."""
-    side = np.sqrt(1.0 - lam)
-    return width * side, height * side
-
-
 def realized_lambda(masks: np.ndarray):
     """Share of cells each 0/1 mask keeps, over the trailing (H, W) axes of one mask or a stack."""
     h, w = masks.shape[-2:]
     return 1.0 - (h * w - np.count_nonzero(masks, axis=(-2, -1))) / (h * w)
 
 
-def sample_mask(width: int, height: int, lam: float, rng: np.random.Generator) -> MaskSpec:
-    """Sample the cut rectangle for mixing ratio lam and build the binary mask.
+def sample_mask(
+    width: int, height: int, lam: float, rng: np.random.Generator
+) -> tuple[float, float, float, float]:
+    """The CutMix rectangle (r_x, r_y, r_w, r_h) for mixing ratio lam, as Python floats.
 
-    The rectangle is centered at (r_x, r_y) ~ Unif(0,W) x Unif(0,H) with
-    size cut_size(W, H, lam), clipped to the grid. The center is drawn
-    even for lam 1.0, so every mask consumes the same two draws.
+    The center is drawn x ~ Unif(0, W), then y ~ Unif(0, H); the size is
+    (W sqrt(1 - lam), H sqrt(1 - lam)). A ratio of exactly 1.0 draws
+    nothing and gives NO_CUT. mask_from_rect builds the masks.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
+    if lam == 1.0:
+        return NO_CUT
     r_x = rng.uniform(0.0, width)
     r_y = rng.uniform(0.0, height)
-    r_w, r_h = cut_size(width, height, lam)
-    # Python floats: provenance files write these with repr
-    rect = (r_x, r_y, float(r_w), float(r_h))
-    mask = mask_from_rect(width, height, rect)
-    return MaskSpec(lam, rect, mask, float(realized_lambda(mask)))
+    side = math.sqrt(1.0 - lam)
+    return r_x, r_y, width * side, height * side
 
 
 def one_hot(index: int, num_classes: int) -> np.ndarray:

@@ -129,35 +129,36 @@ def _parse(value: str, kind):
     return kind(value)
 
 
+def _finite(value: str) -> float:
+    """A float as write_provenance writes them: NaN and infinities raise ValueError."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"non-finite provenance value {value!r}")
+    return out
+
+
 def read_provenance(path: str | Path) -> list[Provenance]:
-    """The provenance of each record line; a rect is given in full or not at all."""
+    """The provenance of each record line; a rect is given in full or not at
+    all. A line that write_provenance could not have written, a NaN or
+    infinite float included, raises ValueError naming the line."""
     out = []
     for line in Path(path).read_text(encoding="ascii").splitlines():
         if not line or line.startswith("#"):
             continue
         v = line.split("\t")
-        if len(v) != len(_PROV_COLUMNS):
-            raise ValueError(f"malformed provenance line: {line!r}")
-        rect = tuple(_parse(x, float) for x in v[6:10])
-        if rect.count(None) == 4:
-            rect = None
-        elif None in rect:
-            raise ValueError(f"partly given rect in provenance line: {line!r}")
-        out.append(
-            Provenance(
-                method=v[1],
-                class_a=int(v[2]),
-                class_b=_parse(v[3], int),
-                lambda_sampled=_parse(v[4], float),
-                lambda_real=float(v[5]),
-                rect=rect,
-                seed=int(v[10]),
-                sampler=v[11],
-                steps=int(v[12]),
-                guidance=float(v[13]),
-                alpha=_parse(v[14], float),
-            )
-        )
+        try:
+            if len(v) != len(_PROV_COLUMNS):
+                raise ValueError(f"{len(v)} fields, need {len(_PROV_COLUMNS)}")
+            rect = tuple(_parse(x, _finite) for x in v[6:10])
+            if 0 < rect.count(None) < 4:
+                raise ValueError("partly given rect")
+            out.append(Provenance(
+                method=v[1], class_a=int(v[2]), class_b=_parse(v[3], int),
+                lambda_sampled=_parse(v[4], _finite), lambda_real=_finite(v[5]),
+                rect=None if None in rect else rect, seed=int(v[10]), sampler=v[11],
+                steps=int(v[12]), guidance=_finite(v[13]), alpha=_parse(v[14], _finite)))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in provenance line {line!r}") from None
     return out
 
 

@@ -28,7 +28,9 @@ import numpy as np
 
 from .classmodels import ClassFamily, ClassModel, class_family, predict_noise
 from .errors import NumericalDivergence
-from .mixing import mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
+from .mixing import (
+    mask_from_rect, mix_labels, one_hot, realized_lambda, sample_lambda, sample_mask,
+)
 from .schedule import Schedule, cfg_combine
 
 ANCESTRAL = "ancestral"
@@ -354,9 +356,10 @@ def generate_batch(
     With class_b None, record i is conditioned on class_a[i] alone and
     has a one-hot label. Otherwise it mixes the noise estimates of
     class_a[i] and class_b[i] through a mask drawn once from its seed's
-    mask stream (a Beta(alpha, alpha) ratio, then the cut rectangle) and
-    held fixed across all steps; its soft label uses the realized
-    (post-clipping) area ratio. Each provenance regenerates its record.
+    mask stream (a Beta(alpha, alpha) ratio, then sample_mask's
+    rectangle, mixing.NO_CUT for a ratio of exactly 1.0) and held fixed
+    across all steps; its soft label uses the realized (post-clipping)
+    area ratio. Each provenance regenerates its record.
     """
     family = class_family(models)
     k, h, w = family.means.shape
@@ -368,14 +371,17 @@ def generate_batch(
         labels = np.stack([one_hot(a, k) for a in class_a])
         keep_a = None
     else:
-        provs = []
-        for a, b, s in zip(class_a, class_b, seeds):
+        lams, rects = [], []
+        for s in seeds:
             rng = child_rng(s, _MASK_STREAM)
-            spec = sample_mask(w, h, sample_lambda(alpha, rng), rng)
-            provs.append(Provenance("noisecutmix", a, b, spec.lambda_sampled, spec.lambda_real,
-                                    spec.rect, s, **settings))
+            lams.append(sample_lambda(alpha, rng))
+            rects.append(sample_mask(w, h, lams[-1], rng))
+        masks = mask_from_rect(w, h, rects)
+        provs = [Provenance("noisecutmix", a, b, lam, float(lam_real), rect, s, **settings)
+                 for a, b, lam, lam_real, rect, s
+                 in zip(class_a, class_b, lams, realized_lambda(masks), rects, seeds)]
         labels = np.stack([mix_labels(p.class_a, p.class_b, p.lambda_real, k) for p in provs])
-        keep_a = mask_from_rect(w, h, [p.rect for p in provs]).astype(bool)
+        keep_a = masks.astype(bool)
         class_b = np.asarray(class_b)
     images = run_reverse(np.asarray(class_a), class_b, keep_a, cfg, sched, family,
                          _RecordStreams(seeds), len(seeds))
@@ -388,7 +394,10 @@ def regenerate(
     """A record's (image (H, W), label (K,)), rebuilt bit-exactly from its provenance.
 
     The record follows from its method, classes, seed, sampler settings
-    and alpha; its ratios and rect must be the ones these give, else ValueError.
+    and alpha; its ratios and rect must be the ones these give, and a
+    noisecutmix record needs its class_b, else ValueError. The class ids
+    are inputs (drawn from the trial's pick stream, not from the seed),
+    so an edited id regenerates the edited pair's record without error.
     """
     cfg = SamplerConfig(
         kind=prov.sampler, num_inference_steps=prov.steps, guidance_scale=prov.guidance

@@ -20,6 +20,7 @@ from noisecutmix import (
     config_from_dict,
     make_bump_dataset,
     make_cosine_schedule,
+    mask_from_rect,
     mix_labels,
     predict_noise,
     run_experiment,
@@ -30,6 +31,7 @@ from noisecutmix import (
 )
 from noisecutmix.classifier import _loss_and_grads, init_classifier
 from noisecutmix.harness import format_result_table, parse_result_table
+from noisecutmix.mixing import realized_lambda
 from noisecutmix.samplers import child_rng
 
 
@@ -145,11 +147,12 @@ def test_criterion_3_mask_label_consistency():
     rng = child_rng(33, 0)
     for _ in range(10_000):
         lam = sample_lambda(1.0, rng)
-        spec = sample_mask(16, 16, lam, rng)
-        zeros = int((spec.mask == 0).sum())
-        assert spec.lambda_real == 1.0 - zeros / 256
-        assert _zero_region_is_one_rectangle(spec.mask)
-        label = mix_labels(int(rng.integers(4)), int(rng.integers(4)), spec.lambda_real, 4)
+        mask = mask_from_rect(16, 16, sample_mask(16, 16, lam, rng))
+        lambda_real = float(realized_lambda(mask))
+        zeros = int((mask == 0).sum())
+        assert lambda_real == 1.0 - zeros / 256
+        assert _zero_region_is_one_rectangle(mask)
+        label = mix_labels(int(rng.integers(4)), int(rng.integers(4)), lambda_real, 4)
         assert np.all(label >= 0.0)
         assert abs(label.sum() - 1.0) <= 1e-12
 

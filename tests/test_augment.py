@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from noisecutmix import AugmentPolicy, apply_policy, one_hot, sample_lambda, sample_mask
-from noisecutmix.augment import _draw, _mix
-from noisecutmix.mixing import realized_lambda
+from noisecutmix.augment import _mix
+from noisecutmix.mixing import mask_from_rect, realized_lambda
 from noisecutmix.samplers import child_rng
 
 
@@ -16,10 +16,20 @@ def _pairs(seed, n=20, shape=(16, 16), k=3):
     return a, np.tile(one_hot(0, k), (n, 1)), b, np.tile(one_hot(1, k), (n, 1))
 
 
+def _cutmix_draws(n, alpha, rng, width=16, height=16):
+    """n ratios and their CutMix masks (n, H, W), drawn as apply_policy draws
+    them: per row the ratio, then its sample_mask rectangle."""
+    lam, rects = [], []
+    for _ in range(n):
+        lam.append(sample_lambda(alpha, rng))
+        rects.append(sample_mask(width, height, lam[-1], rng))
+    return np.array(lam), mask_from_rect(width, height, rects)
+
+
 def test_cutmix_empty_cut_is_identity():
     # alpha 0.01 puts some ratios at exactly 1.0: their masks cut nothing and copy a
     a, ya, b, yb = _pairs(0, n=32)
-    lam, masks = _draw(32, 0.01, child_rng(0, 0), (16, 16))
+    lam, masks = _cutmix_draws(32, 0.01, child_rng(0, 0))
     whole = lam == 1.0
     assert whole.any() and np.all(masks[whole] == 1)
     img, label = _mix(a, ya, b, yb, lam, masks)
@@ -29,7 +39,7 @@ def test_cutmix_empty_cut_is_identity():
 
 def test_cutmix_idempotent_on_equal_images():
     a, ya, _, yb = _pairs(1)
-    lam, masks = _draw(20, 1.0, child_rng(1, 0), (16, 16))
+    lam, masks = _cutmix_draws(20, 1.0, child_rng(1, 0))
     img, _ = _mix(a, ya, a.copy(), yb, lam, masks)
     assert np.array_equal(img, a)
 
@@ -47,7 +57,7 @@ def test_cutmix_integer_area_label():
 
 def test_cutmix_output_is_partition_of_sources():
     a, ya, b, yb = _pairs(3)
-    lam, masks = _draw(20, 1.0, child_rng(3, 0), (16, 16))
+    lam, masks = _cutmix_draws(20, 1.0, child_rng(3, 0))
     img, _ = _mix(a, ya, b, yb, lam, masks)
     assert np.all((img == a) | (img == b))
 
@@ -70,23 +80,31 @@ def test_mixup_label_interpolation():
 
 def test_mixup_bounded_by_sources():
     a, ya, b, yb = _pairs(6)
-    lam, masks = _draw(20, 0.2, child_rng(6, 0))
-    assert masks is None
+    rng = child_rng(6, 0)
+    lam = np.array([sample_lambda(0.2, rng) for _ in range(20)])
+    assert np.all((lam >= 0.0) & (lam <= 1.0))
     img, _ = _mix(a, ya, b, yb, lam)
     assert np.all(img >= np.minimum(a, b) - 1e-12)
     assert np.all(img <= np.maximum(a, b) + 1e-12)
 
 
 def test_policy_and_generation_cut_alike():
-    # apply_policy's CutMix and generation's sample_mask cut a (W, H) = (12, 9) grid alike
+    # apply_policy's CutMix cuts a (W, H) = (12, 9) grid with generation's draw: per
+    # pair the ratio, then its sample_mask rectangle; a pair of constant images 1
+    # and 0 shows each mask in the pixels
+    w, h = 12, 9
+    images, labels = np.stack([np.ones((h, w)), np.zeros((h, w))]), np.eye(2)
     for seed in range(50):
-        lam, masks = _draw(1, 1.0, child_rng(seed, 0), (12, 9))
+        out, out_labels = apply_policy((images, labels), AugmentPolicy("cutmix", 1.0, 1.0),
+                                       child_rng(seed, 0))
         rng = child_rng(seed, 0)
-        spec = sample_mask(12, 9, sample_lambda(1.0, rng), rng)
-        assert lam[0] != 1.0
-        assert lam[0] == spec.lambda_sampled
-        assert np.array_equal(masks[0], spec.mask)
-        assert realized_lambda(masks)[0] == spec.lambda_real
+        rng.random()
+        perm = rng.permutation(2)
+        lam, masks = _cutmix_draws(2, 1.0, rng, w, h)
+        assert np.all(lam != 1.0)
+        assert np.array_equal(out, np.where(masks, images, images[perm]))
+        weight = realized_lambda(masks)[:, None]
+        assert np.array_equal(out_labels, weight * labels + (1.0 - weight) * labels[perm])
 
 
 def _batch(seed, n=6, k=4):

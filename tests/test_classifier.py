@@ -262,10 +262,22 @@ def test_train_accepts_labels_within_the_sum_tolerance():
 
 
 def test_train_raises_on_nonfinite_loss():
+    # a finite pixel this large overflows the forward pass; a non-finite one is bad input
     images, labels = _separable_dataset()
-    images[0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalDivergence):
+    images[0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalDivergence):
         train(images, labels, TrainConfig(batch_size=64, epochs=2, seed=0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_train_and_evaluate_reject_non_finite_images(bad):
+    images, labels = _separable_dataset()
+    images[3, 0, 1] = bad
+    with pytest.raises(ValueError, match="images must be finite"):
+        train(images, labels, TrainConfig(epochs=1))
+    model = init_classifier(images[0].size, 4, 2, seed=0)
+    with pytest.raises(ValueError, match="images must be finite"):
+        evaluate(model, images, np.argmax(labels, axis=1))
 
 
 def test_constructor_binds_views_and_rejects_bad_vectors():

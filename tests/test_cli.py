@@ -259,13 +259,38 @@ def test_exit_code_numerical_failure(tmp_path, cfg_path):
     from noisecutmix.recordio import write_records
 
     images = np.stack([np.random.default_rng(i).standard_normal((4, 4)) for i in range(12)])
-    images[0] = np.inf
+    images[0] = 1e308  # finite, but it overflows the forward pass
     data = tmp_path / "diverge.records"
     write_records(data, images, np.eye(2)[np.arange(12) % 2])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--config", str(cfg_path), "--input", str(data),
                      "--seed", "0", "--model-out", str(tmp_path / "m.bin")])
     assert code == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_train_and_evaluate_reject_non_finite_images(tmp_path, cfg_path, capsys, bad):
+    # an all-NaN record file used to score accuracy 0.25 and one inf pixel to exit 4
+    from noisecutmix import init_classifier
+    from noisecutmix.recordio import save_classifier, write_records
+
+    images = np.stack([np.random.default_rng(i).standard_normal((8, 8)) for i in range(12)])
+    labels = np.eye(2)[np.arange(12) % 2]
+    data, all_bad, model = tmp_path / "bad.records", tmp_path / "all_bad.records", tmp_path / "m.bin"
+    images[0, 2, 3] = bad
+    write_records(data, images, labels)
+    write_records(all_bad, np.full_like(images, bad), labels)
+    for path in (data, all_bad):
+        assert main(["train", "--config", str(cfg_path), "--input", str(path),
+                     "--seed", "0", "--model-out", str(model)]) == 2
+        assert "images must be finite" in capsys.readouterr().err
+        assert not model.exists()
+    good = tmp_path / "good.bin"
+    save_classifier(good, init_classifier(64, 8, 2, seed=0))
+    for path in (data, all_bad):
+        assert main(["evaluate", "--model", str(good), "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "images must be finite" in captured.err and "accuracy" not in captured.out
 
 
 def test_train_rejects_labels_off_the_simplex(tmp_path, cfg_path, capsys):

@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisecutmix import mix_labels, one_hot, sample_lambda, sample_mask
+import noisecutmix
+from noisecutmix import mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
+from noisecutmix.mixing import NO_CUT, realized_lambda
 from noisecutmix.samplers import child_rng
 
 
@@ -62,18 +66,39 @@ def test_lambda_in_unit_interval_and_reproducible():
 # ---------------------------------------------------------------------------
 
 
+def _mask(width, height, lam, rng):
+    """(rect, mask, lambda_real) of one sample_mask draw."""
+    rect = sample_mask(width, height, lam, rng)
+    mask = mask_from_rect(width, height, rect)
+    return rect, mask, float(realized_lambda(mask))
+
+
 def test_mask_lambda_one_is_all_ones():
-    spec = sample_mask(8, 8, 1.0, child_rng(3, 0))
-    assert spec.mask.all()
-    assert spec.lambda_real == 1.0
-    assert spec.rect[2] == 0.0 and spec.rect[3] == 0.0
+    # a ratio of exactly 1.0 draws nothing and gives the no-cut rectangle
+    rng = child_rng(3, 0)
+    state = rng.bit_generator.state
+    rect, mask, lambda_real = _mask(8, 8, 1.0, rng)
+    assert rng.bit_generator.state == state
+    assert rect == NO_CUT == (0.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in rect)
+    assert mask.all()
+    assert lambda_real == 1.0
+    assert rect[2] == 0.0 and rect[3] == 0.0
+
+
+def test_mask_rect_is_center_then_size():
+    # x then y from rng, as Python floats, sized W sqrt(1 - lam) x H sqrt(1 - lam)
+    rng = child_rng(5, 0)
+    rect = sample_mask(12, 9, 0.36, child_rng(5, 0))
+    assert rect == (rng.uniform(0.0, 12), rng.uniform(0.0, 9), 12 * 0.8, 9 * 0.8)
+    assert all(type(v) is float for v in rect)
 
 
 def test_mask_rect_width_formula():
     # W sqrt(1 - 0.75) = 8 * 0.5 = 4
-    spec = sample_mask(8, 8, 0.75, child_rng(4, 0))
-    assert spec.rect[2] == 4.0
-    assert spec.rect[3] == 4.0
+    rect = sample_mask(8, 8, 0.75, child_rng(4, 0))
+    assert rect[2] == 4.0
+    assert rect[3] == 4.0
 
 
 def test_mask_rejects_bad_lambda():
@@ -81,6 +106,9 @@ def test_mask_rejects_bad_lambda():
         sample_mask(8, 8, -0.1, child_rng(0, 0))
     with pytest.raises(ValueError):
         sample_mask(8, 8, 1.1, child_rng(0, 0))
+    for width, height in ((0, 8), (8, 0)):
+        with pytest.raises(ValueError):
+            sample_mask(width, height, 1.0, child_rng(0, 0))
 
 
 def _expected_cut_fraction(width, height, lam):
@@ -100,7 +128,7 @@ def test_mask_mean_cut_fraction_shrinks_under_clipping():
     # 1 - lambda; the exact expectation for lambda = 0.5 on 16x16 is
     # 0.33885, frozen here from the closed-form oracle
     rng = child_rng(12, 0)
-    fractions = [1.0 - sample_mask(16, 16, 0.5, rng).lambda_real for _ in range(10_000)]
+    fractions = [1.0 - _mask(16, 16, 0.5, rng)[2] for _ in range(10_000)]
     mean = float(np.mean(fractions))
     oracle = _expected_cut_fraction(16, 16, 0.5)
     assert abs(oracle - 0.33885) < 5e-4  # sanity-pin the oracle itself
@@ -112,10 +140,10 @@ def test_mask_lambda_real_exact_and_rectangular():
     rng = child_rng(21, 0)
     for _ in range(200):
         lam = sample_lambda(1.0, rng)
-        spec = sample_mask(12, 9, lam, rng)
-        zeros = int((spec.mask == 0).sum())
-        assert spec.lambda_real == 1.0 - zeros / spec.mask.size
-        assert_zero_region_is_one_rectangle(spec.mask)
+        _, mask, lambda_real = _mask(12, 9, lam, rng)
+        zeros = int((mask == 0).sum())
+        assert lambda_real == 1.0 - zeros / mask.size
+        assert_zero_region_is_one_rectangle(mask)
 
 
 def assert_zero_region_is_one_rectangle(mask):
@@ -140,17 +168,28 @@ def assert_zero_region_is_one_rectangle(mask):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_mask_properties_hold_for_any_draw(width, height, lam, seed):
-    spec = sample_mask(width, height, lam, child_rng(seed, 0))
-    zeros = int((spec.mask == 0).sum())
-    assert spec.lambda_real == 1.0 - zeros / (width * height)
-    assert_zero_region_is_one_rectangle(spec.mask)
+    _, mask, lambda_real = _mask(width, height, lam, child_rng(seed, 0))
+    zeros = int((mask == 0).sum())
+    assert lambda_real == 1.0 - zeros / (width * height)
+    assert_zero_region_is_one_rectangle(mask)
 
 
 def test_mask_bit_reproducible():
-    a = sample_mask(16, 16, 0.4, child_rng(77, 0))
-    b = sample_mask(16, 16, 0.4, child_rng(77, 0))
-    assert np.array_equal(a.mask, b.mask)
-    assert a.rect == b.rect and a.lambda_real == b.lambda_real
+    rect_a, mask_a, lambda_a = _mask(16, 16, 0.4, child_rng(77, 0))
+    rect_b, mask_b, lambda_b = _mask(16, 16, 0.4, child_rng(77, 0))
+    assert np.array_equal(mask_a, mask_b)
+    assert rect_a == rect_b and lambda_a == lambda_b
+
+
+def test_only_mixing_draws_rectangle_centers():
+    # generation and apply_policy both take their CutMix rectangle from sample_mask
+    for path in sorted(Path(noisecutmix.__file__).parent.glob("*.py")):
+        if path.name == "mixing.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "uniform"]
+        assert calls == [], f"{path.name} calls .uniform( at lines {calls}"
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,24 @@ def test_provenance_rejects_non_finite_before_writing(tmp_path, records, field, 
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
 
+@pytest.mark.parametrize(
+    "column", ["lambda_sampled", "lambda_real", "rect_x", "rect_y", "rect_w", "rect_h",
+               "guidance", "alpha"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_provenance_reader_rejects_non_finite(tmp_path, records, column, bad):
+    # the reader once took the floats write_provenance refuses, and report drew a montage
+    path = tmp_path / "batch.prov"
+    write_provenance(path, records[2])
+    lines = path.read_text(encoding="ascii").splitlines()
+    fields = lines[2].split("\t")
+    fields[lines[0][2:].split("\t").index(column)] = bad
+    edited = "\t".join(fields)
+    path.write_text("\n".join(lines[:2] + [edited]) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="non-finite provenance value") as excinfo:
+        read_provenance(path)
+    assert repr(edited) in str(excinfo.value)
+
+
 def test_history_file(tmp_path):
     hist = [EpochStats(0, 1.25, 0.5), EpochStats(1, 0.75, 0.625)]
     path = tmp_path / "history.tsv"

@@ -204,9 +204,30 @@ def test_regenerate_is_bit_exact(sched, bump_models):
     assert np.array_equal(labels[0], label)
 
 
+@pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
+def test_ratio_one_record_is_its_class_a_record(sched, bump_models, kind):
+    # alpha 0.01 puts some ratios at exactly 1.0: such a record stores the no-cut
+    # rectangle and is, bit for bit, the single-class record of class_a from its seed
+    cfg = SamplerConfig(kind=kind, num_inference_steps=6)
+    seeds = list(range(300, 340))
+    class_a = [s % 2 for s in seeds]
+    images, labels, provs = generate_batch(
+        class_a, [1 - a for a in class_a], cfg, sched, bump_models, seeds, 0.01)
+    single_images, single_labels, _ = generate_batch(class_a, None, cfg, sched, bump_models, seeds)
+    whole = [i for i, p in enumerate(provs) if p.lambda_sampled == 1.0]
+    assert 0 < len(whole) < len(seeds)
+    for i in whole:
+        assert provs[i].rect == (0.0, 0.0, 0.0, 0.0) and provs[i].lambda_real == 1.0
+        assert np.array_equal(images[i], single_images[i])
+        assert np.array_equal(labels[i], single_labels[i])
+        image, label = regenerate(provs[i], sched, bump_models)
+        assert np.array_equal(image, images[i]) and np.array_equal(label, labels[i])
+
+
 def test_regenerate_rejects_edited_provenance(sched, bump_models):
-    # a rect, ratio or pairing its seed does not give raises; it used to rebuild the
-    # seed's record and label, bit for bit, whatever the other fields said
+    # a rect, ratio or method its seed does not give, or an added or dropped class_b,
+    # raises; it used to rebuild the seed's record and label, bit for bit, whatever
+    # the other fields said
     cfg = SamplerConfig(num_inference_steps=4)
     _, _, (mixed,) = generate_batch([1], [0], cfg, sched, bump_models, [5], 0.7)
     _, _, (single,) = generate_batch([1], None, cfg, sched, bump_models, [6])
