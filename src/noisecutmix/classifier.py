@@ -135,19 +135,20 @@ def _loss_and_grads(
     hidden = np.maximum(z1, 0.0)
     logits = hidden @ model.w2.T + model.b2
 
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    loss = float(np.mean(lse[:, 0] - np.sum(y * logits, axis=1)))
+    # np.add.reduce is the reduction np.sum and np.mean run, without their wrappers
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    lse = m + np.log(np.add.reduce(np.exp(logits - m), axis=1, keepdims=True))
+    loss = float(np.add.reduce(lse[:, 0] - np.add.reduce(y * logits, axis=1)) / n)
 
     g = model.like(np.empty_like(model.params)) if out is None else out
     probs = np.exp(logits - lse)
     dlogits = (probs - y) / n
     np.matmul(dlogits.T, hidden, out=g.w2)
-    np.sum(dlogits, axis=0, out=g.b2)
+    np.add.reduce(dlogits, axis=0, out=g.b2)
     dhidden = dlogits @ model.w2
     dz1 = dhidden * (z1 > 0.0)
     np.matmul(dz1.T, x, out=g.w1)
-    np.sum(dz1, axis=0, out=g.b1)
+    np.add.reduce(dz1, axis=0, out=g.b1)
     return loss, {"w1": g.w1, "b1": g.b1, "w2": g.w2, "b2": g.b2}
 
 
@@ -206,14 +207,19 @@ def validation_split(
 
 @_one_blas_thread()
 def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) -> float:
-    """Top-1 accuracy against class ids; argmax ties break toward the lowest class index.
-    Non-finite images raise ValueError."""
-    if len(images) == 0:
+    """Top-1 accuracy against class ids, one per image; argmax ties break
+    toward the lowest class index. Non-finite images and class ids of any
+    shape but (len(images),) raise ValueError."""
+    n = len(images)
+    if n == 0:
         raise ValueError("testset must not be empty")
+    if np.shape(class_ids) != (n,):
+        # pred == class_ids would broadcast instead of pairing
+        raise ValueError(f"need one class id per image, shape ({n},), got {np.shape(class_ids)}")
     if not np.all(np.isfinite(images)):
         raise ValueError("images must be finite")
-    pred = np.argmax(model.logits(images.reshape(len(images), -1)), axis=1)
-    return float(np.mean(pred == class_ids))
+    pred = np.argmax(model.logits(images.reshape(n, -1)), axis=1)
+    return float(np.count_nonzero(pred == class_ids) / n)
 
 
 @dataclass

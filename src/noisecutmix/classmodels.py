@@ -148,53 +148,58 @@ def predict_noise(
     unconditional (all-class mixture) branch. x_t may carry leading
     batch axes over the (H, W) grid; the result has the same shape and
     goes into out if given (not x_t).
-    The mixture branch keeps its per-class terms in one array of x_t's
-    shape that it allocates per call.
+    Each call builds its per-class constants once, stacked (K, H, W): the
+    means scaled by sqrt(abar_t), the variances v_t and, for the mixture,
+    log v_t + log 2 pi. The mixture branch keeps its per-class terms in one
+    array of x_t's shape that it allocates per call, and the K
+    log-densities in one (K,) + batch-shape array.
     """
     family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
     ab, sqrt_ab, sqrt_1mab = _step_params(t, sched)
+    num_classes = len(family.means)
 
-    if cond is None and len(family.means) == 1:
+    if cond is None and num_classes == 1:
         # one-class mixture: responsibilities are identically 1
         cond = 0
+    v = ab * family.variances + (1.0 - ab)
+    mu = sqrt_ab * family.means
     if cond is not None:
         ids = np.asarray(cond)
         if ids.ndim and ids.shape != x_t.shape[:-2]:
             # numpy would broadcast a 1-id array over every record
             raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
-        unknown = ids[(ids < 0) | (ids >= len(family.means))]  # numpy would wrap -1
+        unknown = ids[(ids < 0) | (ids >= num_classes)]  # numpy would wrap -1
         if unknown.size:
             raise ValueError(f"unknown class id {unknown.flat[0]}")
         # one row per record for an id array, one (H, W) grid for an int id
-        v = ab * family.variances[ids] + (1.0 - ab)
-        eps = np.subtract(x_t, sqrt_ab * family.means[ids], out=out)
+        eps = np.subtract(x_t, mu[ids], out=out)
         np.multiply(sqrt_1mab, eps, out=eps)
-        return np.divide(eps, v, out=eps)
+        return np.divide(eps, v[ids], out=eps)
 
     # log(1/K) + log N(x_t; sqrt(abar_t) mu_c, v_c) per class, totals over
     # the trailing (H, W) axes, shape (K,) + batch shape
-    v = ab * family.variances + (1.0 - ab)
-    log_w = math.log(1.0 / len(family.means))
+    log_norm = np.log(v)
+    log_norm += LOG_2PI
     work = np.empty_like(x_t)
-    log_dens = []
-    for mean, v_c in zip(family.means, v):
-        z = np.subtract(x_t, sqrt_ab * mean, out=work)
+    log_dens = np.empty((num_classes,) + x_t.shape[:-2])
+    for c in range(num_classes):
+        z = np.subtract(x_t, mu[c], out=work)
         np.multiply(z, z, out=z)
-        np.divide(z, v_c, out=z)
-        np.add(np.log(v_c) + LOG_2PI, z, out=z)
-        ll = -0.5 * np.sum(z, axis=(-2, -1))
-        log_dens.append(log_w + ll)
-    log_dens = np.stack(log_dens, axis=0)
+        np.divide(z, v[c], out=z)
+        np.add(log_norm[c], z, out=z)
+        np.add.reduce(z, axis=(-2, -1), out=log_dens[c, ...])
+    log_dens *= -0.5
+    log_dens += math.log(1.0 / num_classes)
     log_dens -= log_dens.max(axis=0, keepdims=True)
-    resp = np.exp(log_dens)
+    resp = np.exp(log_dens, out=log_dens)
     resp /= resp.sum(axis=0, keepdims=True)
 
     eps = np.empty_like(x_t) if out is None else out
     eps.fill(0.0)
-    for r_c, mean, v_c in zip(resp, family.means, v):
-        term = np.subtract(x_t, sqrt_ab * mean, out=work)
-        np.multiply(r_c[..., None, None], term, out=term)
-        np.divide(term, v_c, out=term)
+    for c in range(num_classes):
+        term = np.subtract(x_t, mu[c], out=work)
+        np.multiply(resp[c, ..., None, None], term, out=term)
+        np.divide(term, v[c], out=term)
         np.add(eps, term, out=eps)
     return np.multiply(sqrt_1mab, eps, out=eps)

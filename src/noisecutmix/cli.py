@@ -59,7 +59,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_augment(args) -> int:
     policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
-    images, labels = apply_policy(read_records(args.input), policy, child_rng(args.seed, 0))
+    batch = read_records(args.input)
+    if not np.all(np.isfinite(batch[0])):
+        # train and evaluate refuse non-finite images, so write none
+        raise ValueError("images must be finite")
+    images, labels = apply_policy(batch, policy, child_rng(args.seed, 0))
     write_records(args.out, images, labels)
     print(f"wrote {len(images)} augmented records to {args.out}")
     return 0

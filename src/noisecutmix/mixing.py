@@ -23,28 +23,25 @@ def _gamma_marsaglia_tsang(shape: float, rng: np.random.Generator) -> float:
     """Gamma(shape, 1) variate via Marsaglia-Tsang squeeze rejection.
 
     For shape < 1 uses the boosting transform: draw Gamma(shape+1) and
-    multiply by U^(1/shape).
+    multiply by U^(1/shape), with U drawn after the Gamma(shape+1) draw.
     """
-    if shape < 1.0:
-        g = _gamma_marsaglia_tsang(shape + 1.0, rng)
-        u = rng.random()
-        # u == 0 would underflow the power; the generator never returns 1.0
-        # but can return 0.0, so nudge into the open interval.
-        if u <= 0.0:
-            u = np.finfo(np.float64).tiny
-        return g * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
+    d = (shape + 1.0 if shape < 1.0 else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
         x = rng.standard_normal()
         v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x ** 4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+        if v > 0.0:
+            u = rng.random()
+            if u < 1.0 - 0.0331 * x ** 4 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+                break
+    if shape >= 1.0:
+        return d * v
+    u = rng.random()
+    # u == 0 would underflow the power; the generator never returns 1.0
+    # but can return 0.0, so nudge into the open interval.
+    if u <= 0.0:
+        u = np.finfo(np.float64).tiny
+    return d * v * u ** (1.0 / shape)
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
@@ -102,8 +99,10 @@ def sample_mask(
         raise ValueError("grid dimensions must be positive")
     if lam == 1.0:
         return NO_CUT
-    r_x = rng.uniform(0.0, width)
-    r_y = rng.uniform(0.0, height)
+    # the values and generator state of rng.uniform(0.0, width), then
+    # rng.uniform(0.0, height): uniform(low, high) is low + (high - low) * random()
+    r_x = width * rng.random()
+    r_y = height * rng.random()
     side = math.sqrt(1.0 - lam)
     return r_x, r_y, width * side, height * side
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noisecutmix import AugmentPolicy, apply_policy, one_hot, sample_lambda, sample_mask
+from noisecutmix import AugmentPolicy, apply_policy, augment, one_hot, sample_lambda, sample_mask
 from noisecutmix.augment import _mix
 from noisecutmix.mixing import mask_from_rect, realized_lambda
 from noisecutmix.samplers import child_rng
@@ -171,6 +171,30 @@ def test_apply_policy_replay(kind, alpha):
     if alpha == 0.01:
         whole = [i for i, _, lam in ref_trace if lam == 1.0]
         assert whole and whole[0] < len(images) - 1
+
+
+def test_apply_policy_draws_through_the_mixing_functions(monkeypatch):
+    # the benchmark times the policy's draws by wrapping augment.sample_lambda and
+    # augment.sample_mask; per pair a fired CutMix batch calls each once, MixUp only the ratio
+    calls = []
+
+    def counting(name):
+        fn = getattr(augment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_lambda", "sample_mask"):
+        monkeypatch.setattr(augment, name, counting(name))
+    batch = _batch(14, n=10)
+    for kind, per_pair in (("cutmix", ["sample_lambda", "sample_mask"]), ("mixup", ["sample_lambda"])):
+        calls.clear()
+        assert apply_policy(batch, AugmentPolicy(kind, 1.0, 0.0), child_rng(14, 0)) is batch
+        assert calls == []
+        assert apply_policy(batch, AugmentPolicy(kind, 1.0, 1.0), child_rng(14, 0)) is not batch
+        assert calls == per_pair * 10
 
 
 def test_apply_policy_rejects_mismatched_batch():

@@ -322,6 +322,17 @@ def test_evaluate_rejects_empty():
         evaluate(model, np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
 
 
+def test_evaluate_rejects_class_ids_that_do_not_pair_with_images():
+    # a 1-id array used to score every image against one class, and an (N, 1)
+    # array to average N^2 comparisons
+    model = init_classifier(4, 5, 3, seed=2)
+    images = np.random.default_rng(3).standard_normal((6, 2, 2))
+    for bad in (np.array([1]), np.zeros((6, 1), dtype=int), np.zeros(5, dtype=int), np.array(1)):
+        with pytest.raises(ValueError, match="one class id per image"):
+            evaluate(model, images, bad)
+    assert type(evaluate(model, images, np.zeros(6, dtype=int))) is float
+
+
 @pytest.fixture
 def blas_threads():
     """OpenBLAS's thread-count getter; the count is 2 during the test and restored after."""

@@ -10,6 +10,7 @@ from noisecutmix import (
     make_cosine_schedule,
     predict_noise,
 )
+from noisecutmix.classmodels import LOG_2PI, ClassFamily, _step_params
 
 # ---------------------------------------------------------------------------
 # independent oracle: closed-form log mixture density and its finite-difference
@@ -243,3 +244,83 @@ def test_class_model_validation():
         ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ClassModel(class_id=0, mean=np.full((2, 2), np.nan), var=np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact reference: the predictor before its per-class constants were
+# stacked once per call, which gives the same doubles
+# ---------------------------------------------------------------------------
+
+
+def _predict_noise_reference(x_t, cond, t, sched, models, out=None):
+    family = class_family(models)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    ab, sqrt_ab, sqrt_1mab = _step_params(t, sched)
+
+    if cond is None and len(family.means) == 1:
+        # one-class mixture: responsibilities are identically 1
+        cond = 0
+    if cond is not None:
+        ids = np.asarray(cond)
+        if ids.ndim and ids.shape != x_t.shape[:-2]:
+            # numpy would broadcast a 1-id array over every record
+            raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
+        unknown = ids[(ids < 0) | (ids >= len(family.means))]  # numpy would wrap -1
+        if unknown.size:
+            raise ValueError(f"unknown class id {unknown.flat[0]}")
+        # one row per record for an id array, one (H, W) grid for an int id
+        v = ab * family.variances[ids] + (1.0 - ab)
+        eps = np.subtract(x_t, sqrt_ab * family.means[ids], out=out)
+        np.multiply(sqrt_1mab, eps, out=eps)
+        return np.divide(eps, v, out=eps)
+
+    # log(1/K) + log N(x_t; sqrt(abar_t) mu_c, v_c) per class, totals over
+    # the trailing (H, W) axes, shape (K,) + batch shape
+    v = ab * family.variances + (1.0 - ab)
+    log_w = math.log(1.0 / len(family.means))
+    work = np.empty_like(x_t)
+    log_dens = []
+    for mean, v_c in zip(family.means, v):
+        z = np.subtract(x_t, sqrt_ab * mean, out=work)
+        np.multiply(z, z, out=z)
+        np.divide(z, v_c, out=z)
+        np.add(np.log(v_c) + LOG_2PI, z, out=z)
+        ll = -0.5 * np.sum(z, axis=(-2, -1))
+        log_dens.append(log_w + ll)
+    log_dens = np.stack(log_dens, axis=0)
+    log_dens -= log_dens.max(axis=0, keepdims=True)
+    resp = np.exp(log_dens)
+    resp /= resp.sum(axis=0, keepdims=True)
+
+    eps = np.empty_like(x_t) if out is None else out
+    eps.fill(0.0)
+    for r_c, mean, v_c in zip(resp, family.means, v):
+        term = np.subtract(x_t, sqrt_ab * mean, out=work)
+        np.multiply(r_c[..., None, None], term, out=term)
+        np.divide(term, v_c, out=term)
+        np.add(eps, term, out=eps)
+    return np.multiply(sqrt_1mab, eps, out=eps)
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 4, 7])
+@pytest.mark.parametrize("batch", [(), (9,), (2, 9)], ids=["HW", "NHW", "2NHW"])
+def test_predictor_matches_reference_bit_for_bit(num_classes, batch):
+    sched = make_cosine_schedule(40)
+    rng = np.random.default_rng(num_classes)
+    h, w = 6, 5
+    family = ClassFamily(rng.standard_normal((num_classes, h, w)),
+                         rng.uniform(0.05, 2.0, (num_classes, h, w)))
+    # spread wide enough that responsibilities are neither all equal nor all 0/1
+    x = 2.0 * rng.standard_normal(batch + (h, w))
+    conds = [None, num_classes - 1]
+    if batch:
+        conds.append(rng.integers(num_classes, size=batch))
+    for t in (1, 20, 40):
+        for cond in conds:
+            want = _predict_noise_reference(x, cond, t, sched, family)
+            got = predict_noise(x, cond, t, sched, family)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            out, ref_out = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+            assert predict_noise(x, cond, t, sched, family, out=out) is out
+            _predict_noise_reference(x, cond, t, sched, family, out=ref_out)
+            assert out.tobytes() == ref_out.tobytes() == want.tobytes()

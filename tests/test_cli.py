@@ -293,6 +293,23 @@ def test_train_and_evaluate_reject_non_finite_images(tmp_path, cfg_path, capsys,
         assert "images must be finite" in captured.err and "accuracy" not in captured.out
 
 
+def test_augment_rejects_non_finite_images(tmp_path, capsys):
+    # an all-NaN file used to exit 0 and write 6 all-NaN mixed records
+    from noisecutmix.recordio import write_records
+
+    images = np.stack([np.random.default_rng(i).standard_normal((4, 4)) for i in range(6)])
+    labels = np.eye(2)[np.arange(6) % 2]
+    one_inf = images.copy()
+    one_inf[3, 1, 2] = math.inf
+    for name, bad in (("all_nan", np.full_like(images, math.nan)), ("one_inf", one_inf)):
+        src, out = tmp_path / f"{name}.records", tmp_path / f"{name}_aug.records"
+        write_records(src, bad, labels)
+        for policy in ("cutmix", "mixup"):
+            assert main(["augment", "--policy", policy, "--input", str(src), "--out", str(out)]) == 2
+            assert "images must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_train_rejects_labels_off_the_simplex(tmp_path, cfg_path, capsys):
     from noisecutmix.recordio import write_records
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import noisecutmix
 from noisecutmix import mask_from_rect, mix_labels, one_hot, sample_lambda, sample_mask
-from noisecutmix.mixing import NO_CUT, realized_lambda
+from noisecutmix.mixing import NO_CUT, _gamma_marsaglia_tsang, realized_lambda
 from noisecutmix.samplers import child_rng
 
 
@@ -61,6 +61,80 @@ def test_lambda_in_unit_interval_and_reproducible():
     assert all(0.0 <= v <= 1.0 for v in d1)
 
 
+# the recursive Gamma sampler that the one-loop _gamma_marsaglia_tsang replaced,
+# kept as its bit-exact reference
+def _gamma_reference(shape: float, rng: np.random.Generator) -> float:
+    """Gamma(shape, 1) variate via Marsaglia-Tsang squeeze rejection.
+
+    For shape < 1 uses the boosting transform: draw Gamma(shape+1) and
+    multiply by U^(1/shape).
+    """
+    if shape < 1.0:
+        g = _gamma_reference(shape + 1.0, rng)
+        u = rng.random()
+        # u == 0 would underflow the power; the generator never returns 1.0
+        # but can return 0.0, so nudge into the open interval.
+        if u <= 0.0:
+            u = np.finfo(np.float64).tiny
+        return g * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.standard_normal()
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = rng.random()
+        if u < 1.0 - 0.0331 * x ** 4:
+            return d * v
+        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), alpha=st.sampled_from([0.05, 0.2, 0.999, 1.0, 2.5]))
+def test_gamma_matches_recursive_reference(seed, alpha):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.array([_gamma_marsaglia_tsang(alpha, rng) for _ in range(64)])
+    want = np.array([_gamma_reference(alpha, ref) for _ in range(64)])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _ScriptedRng:
+    """Hands out scripted standard normal and uniform draws in order and logs each call."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms, self.calls = list(normals), list(uniforms), []
+
+    def standard_normal(self):
+        self.calls.append("normal")
+        return self.normals.pop(0)
+
+    def random(self):
+        self.calls.append("random")
+        return self.uniforms.pop(0)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.999, 2.5])
+@pytest.mark.parametrize("normals,uniforms", [
+    # x = -50 makes v <= 0 (a retry that draws no uniform); x = 2 with u = 0.99
+    # fails both tests; x = 0 with u = 0.5 passes the squeeze; a boosted shape then
+    # draws u = 0.0, which is nudged to the smallest normal double
+    ([-50.0, 2.0, 0.0], [0.99, 0.5, 0.0]),
+    # x = 2 with u = 0.5 fails the squeeze and passes the log test
+    ([2.0], [0.5, 0.3]),
+], ids=["retry-reject-nudge", "log-accept"])
+def test_gamma_rejection_paths_match_reference(alpha, normals, uniforms):
+    rng, ref = _ScriptedRng(normals, uniforms), _ScriptedRng(normals, uniforms)
+    got, want = _gamma_marsaglia_tsang(alpha, rng), _gamma_reference(alpha, ref)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert type(got) is type(want)
+    assert rng.calls == ref.calls
+    assert (rng.normals, rng.uniforms) == (ref.normals, ref.uniforms)
+    assert rng.calls.count("normal") == len(normals)
+
+
 # ---------------------------------------------------------------------------
 # mask sampling
 # ---------------------------------------------------------------------------
@@ -92,6 +166,31 @@ def test_mask_rect_is_center_then_size():
     rect = sample_mask(12, 9, 0.36, child_rng(5, 0))
     assert rect == (rng.uniform(0.0, 12), rng.uniform(0.0, 9), 12 * 0.8, 9 * 0.8)
     assert all(type(v) is float for v in rect)
+
+
+# the parent's rectangle center draw, kept as the bit-exact reference of
+# sample_mask's width * random(), then height * random()
+def _center_reference(width, height, rng):
+    r_x = rng.uniform(0.0, width)
+    r_y = rng.uniform(0.0, height)
+    return r_x, r_y
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    width=st.integers(1, 64),
+    height=st.integers(1, 64),
+    lam=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_mask_center_matches_uniform_reference(seed, width, height, lam):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(32):
+        r_x, r_y, _, _ = sample_mask(width, height, lam, rng)
+        want_x, want_y = _center_reference(width, height, ref)
+        assert np.array([r_x, r_y]).tobytes() == np.array([want_x, want_y]).tobytes()
+        assert type(r_x) is type(want_x) and type(r_y) is type(want_y)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_mask_rect_width_formula():
