@@ -218,8 +218,13 @@ def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) ->
         raise ValueError(f"need one class id per image, shape ({n},), got {np.shape(class_ids)}")
     if not np.all(np.isfinite(images)):
         raise ValueError("images must be finite")
-    pred = np.argmax(model.logits(images.reshape(n, -1)), axis=1)
-    return float(np.count_nonzero(pred == class_ids) / n)
+    return _accuracy(model, images.reshape(n, -1), class_ids)
+
+
+def _accuracy(model: MlpClassifier, x_flat: np.ndarray, class_ids: np.ndarray) -> float:
+    """evaluate's score of a (B, in_dim) batch, unchecked."""
+    pred = np.argmax(model.logits(x_flat), axis=1)
+    return float(np.count_nonzero(pred == class_ids) / len(x_flat))
 
 
 @dataclass
@@ -286,6 +291,8 @@ def train(
     policy_rng = child_rng(cfg.seed, _POLICY_STREAM)
     best_acc = -1.0
     best_params = None
+    # the whole pool was checked above, so each epoch scores without re-checking
+    val_x, val_ids = images[val_idx].reshape(len(val_idx), -1), labels_hard[val_idx]
 
     for epoch in range(cfg.epochs):
         order = train_idx[epoch_rng.permutation(len(train_idx))]
@@ -300,7 +307,7 @@ def train(
                 raise NumericalDivergence(f"non-finite training loss at epoch {epoch}")
             adam.step(model.params, grad.params)
             loss_sum += loss * len(chunk)
-        val_acc = evaluate(model, images[val_idx], labels_hard[val_idx])
+        val_acc = _accuracy(model, val_x, val_ids)
         history.append(EpochStats(epoch, loss_sum / len(train_idx), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc

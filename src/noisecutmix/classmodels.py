@@ -89,10 +89,11 @@ def make_bump_dataset(
     if n_per_class < 0:
         raise ValueError("n_per_class must be >= 0")
 
-    centers = _bump_centers(num_classes, width, height)
+    # the grid first: a too-large width or height fails here, before one center per class
     cols = np.arange(width, dtype=np.float64) + 0.5
     rows = np.arange(height, dtype=np.float64) + 0.5
     xx, yy = np.meshgrid(cols, rows)
+    centers = _bump_centers(num_classes, width, height)
 
     models = []
     for c, (cx, cy) in enumerate(centers):

@@ -107,10 +107,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_report(args) -> int:
     out = Path(args.dir)
-    table_path = out / "results.tsv"
-    if not table_path.exists():
-        raise FileNotFoundError(f"no results.tsv under {out}")
-    table = parse_result_table(table_path.read_text(encoding="ascii"))
+    table = parse_result_table((out / "results.tsv").read_text(encoding="ascii"))
     sys.stdout.write(format_result_table(table))
     for records_path in sorted(out.glob("*_t0.records")):
         stem = records_path.name[: -len(".records")]

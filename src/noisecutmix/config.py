@@ -7,8 +7,8 @@ to a default. Omitted keys take the documented defaults.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -17,7 +17,8 @@ from .classifier import MIN_TRAIN_SAMPLES, TrainConfig, validation_size
 from .classmodels import make_bump_dataset
 from .errors import ConfigError
 from .recordio import open_atomic
-from .samplers import SamplerConfig
+from .samplers import SamplerConfig, timestep_grid
+from .schedule import make_cosine_schedule
 
 # name -> (generator, pixel policy). The generator is None or a
 # Provenance.method value ("single" or "noisecutmix"), the policy an
@@ -78,7 +79,8 @@ class ExperimentConfig:
             kinds = _FIELD_TYPES.get(f.type)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
+            # an int beyond the float range fails too, not only NaN and +-inf
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         # sample_lambda owns this check but runs only after config.json is written
         if not self.noisemix_alpha > 0.0:
@@ -94,10 +96,6 @@ class ExperimentConfig:
         n_real = self.num_classes * self.n_train_per_class
         if n_real < MIN_TRAIN_SAMPLES:
             raise ConfigError(f"num_classes * n_train_per_class must be >= {MIN_TRAIN_SAMPLES}")
-        if self.schedule_steps < 2:
-            raise ConfigError("schedule_steps must be >= 2")
-        if not (1 <= self.num_inference_steps <= self.schedule_steps):
-            raise ConfigError("num_inference_steps must lie in [1, schedule_steps]")
         unknown = [m for m in self.methods if not isinstance(m, str) or m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(METHODS)}")
@@ -109,13 +107,16 @@ class ExperimentConfig:
             # each component checks its own fields, so building them all rejects bad
             # values before any write; every policy kind, configured or not
             self.dataset(0, 0)
+            make_cosine_schedule(self.schedule_steps)
+            timestep_grid(self.schedule_steps, self.num_inference_steps)
             self.sampler_config()
             self.train_config()
             for kind in POLICY_KINDS:
                 self.augment_policy(kind)
-        except ValueError as exc:
+            n_val = validation_size(n_real, self.val_fraction)
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: an int too large for a float, such as a 10**400 width
             raise ConfigError(str(exc)) from exc
-        n_val = validation_size(n_real, self.val_fraction)
         if n_real - n_val < self.num_classes:
             raise ConfigError(f"{n_real - n_val} real training samples after the validation "
                               f"split cannot cover {self.num_classes} classes")
@@ -154,12 +155,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = sorted(set(raw) - valid)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
-    try:
-        return ExperimentConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

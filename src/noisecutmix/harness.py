@@ -194,9 +194,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write_probe"
-    probe.write_bytes(b"")
-    probe.unlink()
     # results.tsv is written last; one left by an earlier run would make
     # an interrupted rerun look complete
     (out / "results.tsv").unlink(missing_ok=True)

@@ -31,12 +31,11 @@ class Schedule:
             raise ValueError(f"alpha_bar must have length T+1={self.num_steps + 1}")
         if ab[0] != 1.0:
             raise ValueError("alpha_bar[0] must be exactly 1")
+        # with the two end checks this keeps every value in (0, 1]; a NaN fails it
         if not np.all(np.diff(ab) < 0):
             raise ValueError("alpha_bar must be strictly decreasing")
         if not (0.0 < ab[-1] <= 0.01):
             raise ValueError("alpha_bar[T] must lie in (0, 0.01]")
-        if np.any(ab <= 0.0) or np.any(ab > 1.0):
-            raise ValueError("alpha_bar values must lie in (0, 1]")
         self.alpha_bar = ab
         self.sqrt_alpha_bar = np.sqrt(ab)
         self.sigma = np.sqrt(1.0 - ab)

@@ -14,7 +14,9 @@ from noisecutmix import (
     train,
 )
 from noisecutmix import classifier
-from noisecutmix.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Adam, _loss_and_grads, validation_split
+from noisecutmix.classifier import (
+    _SPLIT_STREAM, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Adam, _loss_and_grads, validation_split,
+)
 from noisecutmix.samplers import child_rng
 
 
@@ -218,6 +220,21 @@ def test_train_returns_best_epoch_snapshot():
     assert history[-1].val_accuracy < best
     _, val_idx = validation_split(np.zeros(60, dtype=bool), cfg.val_fraction, child_rng(cfg.seed, 10))
     assert evaluate(model, images[val_idx], np.argmax(labels[val_idx], axis=1)) == best
+
+
+def test_train_scores_validation_without_calling_evaluate(monkeypatch):
+    # train checks the whole pool at entry, so its per-epoch score skips evaluate's checks
+    calls = []
+    real_evaluate = classifier.evaluate
+    monkeypatch.setattr(classifier, "evaluate", lambda *a: calls.append(a) or real_evaluate(*a))
+    images, labels = _separable_dataset(n_per_class=15, seed=6)
+    synthetic = np.arange(len(images)) % 5 == 0
+    cfg = TrainConfig(batch_size=4, epochs=12, hidden=6, seed=5)
+    model, history = train(images, labels, cfg, AugmentPolicy("mixup", 0.2, 0.5), synthetic)
+    assert calls == [] and len(history) == 12
+    _, val_idx = validation_split(synthetic, cfg.val_fraction, child_rng(cfg.seed, _SPLIT_STREAM))
+    best = max(h.val_accuracy for h in history)
+    assert real_evaluate(model, images[val_idx], np.argmax(labels[val_idx], axis=1)) == best
 
 
 def test_validation_split_excludes_synthetic():

@@ -227,12 +227,34 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"mixup_alpha": -0.2, "methods": ["original"], "trials": 1},
         {"methods": {"original": 1}, "trials": 1},
         {"methods": "original"},
+        # make_cosine_schedule and timestep_grid own these rules; the config calls both
+        {"schedule_steps": 1},
+        {"schedule_steps": 10**19},
+        {"num_inference_steps": 0},
+        {"num_inference_steps": 1001},
+        {"schedule_steps": 10, "num_inference_steps": 11},
+        # ints too large for a float once escaped as OverflowError (exit 1)
+        *({field: sign * 10**400} for sign in (1, -1) for field in (
+            "noise_var", "guidance_scale", "learning_rate", "augment_probability",
+            "augment_ratio", "bump_sigma", "val_fraction", "cutmix_alpha", "mixup_alpha",
+            "noisemix_alpha", "width", "height", "num_classes", "n_train_per_class")),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(raw))
         out = tmp_path / f"o{i}"
         assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2, raw
         assert not out.exists(), raw
+
+
+def test_report_without_a_results_table_exits_3(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["report", "--dir", str(empty)]) == 3
+    assert list(empty.iterdir()) == []
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory")
+    assert main(["report", "--dir", str(a_file)]) == 3
+    assert "i/o failure" in capsys.readouterr().err
 
 
 def test_exit_code_io_failure(tmp_path, cfg_path):

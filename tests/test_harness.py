@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisecutmix
 from noisecutmix import (
@@ -125,6 +127,28 @@ def test_config_errors_name_what_is_wrong():
         config_from_dict({"mixup_alpha": -0.2, "methods": ["original"]})
     with pytest.raises(ConfigError, match="methods must be of type list"):
         config_from_dict({"methods": "original"})
+
+
+# JSON values of every kind, at sizes whose valid configs allocate no large array
+_FUZZ_VALUES = st.one_of(
+    st.integers(-1, 64),
+    st.sampled_from([10**19, -10**19, 10**400, -10**400, 0.5, math.nan, math.inf, -math.inf,
+                     True, False, None]),
+    st.text(max_size=6),
+    st.sampled_from(["ancestral", "dpm_solver_pp_2m", "original", "noisecutmix"]),
+    st.lists(st.sampled_from([*METHODS, "fancymix", 0, None]), max_size=3),
+    st.dictionaries(st.sampled_from(["original", "trials"]), st.integers(-1, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+                       _FUZZ_VALUES, min_size=1, max_size=3))
+def test_config_from_dict_gives_a_config_or_a_config_error(raw):
+    try:
+        assert isinstance(config_from_dict(raw), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 def test_config_rejects_unhashable_method():

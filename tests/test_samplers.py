@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisecutmix import (
     NumericalDivergence,
@@ -49,6 +51,25 @@ def test_timestep_grid_shape_and_monotonicity(sched):
         timestep_grid(1000, 0)
     with pytest.raises(ValueError):
         timestep_grid(1000, 1001)
+
+
+def _check_grid(num_steps, n):
+    ts = timestep_grid(num_steps, n)
+    assert len(ts) == n + 1 and ts[0] == num_steps and ts[-1] == 0
+    assert np.all(np.diff(ts) < 0), (num_steps, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 1200).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, t))))
+def test_timestep_grid_strictly_decreasing_for_every_n_up_to_t(grid):
+    # timestep_grid keeps no decrease check: n <= T alone must give it
+    _check_grid(*grid)
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 3, 999, 1000, 1200])
+def test_timestep_grid_every_n(num_steps):
+    for n in range(1, num_steps + 1):
+        _check_grid(num_steps, n)
 
 
 def test_ancestral_inverts_forward_map(sched):
@@ -179,6 +200,26 @@ def test_mixed_noise_is_pure_selection(sched, bump_models):
         keep = mask.astype(bool)
         assert np.array_equal(mixed[keep], eps_a[keep])
         assert np.array_equal(mixed[~keep], eps_b[~keep])
+
+
+@pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
+def test_noisecutmix_at_guidance_one_is_pixel_cutmix_of_single_records(sched, kind):
+    # At guidance 1.0 the guided estimate is the conditional one, which acts cell by
+    # cell, so each cell follows its class's single-class trajectory; at 3.0 the
+    # unconditional mixture couples the cells and the identity fails.
+    models, _ = make_bump_dataset(4, 8, 8, 1.5, 0.25, seed=3, n_per_class=0)
+    rng = np.random.default_rng(17)
+    pairs = [rng.choice(4, size=2, replace=False).tolist() for _ in range(8)]
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+    seeds = rng.integers(0, 2**63, size=8).tolist()
+    for guidance, equal in ((1.0, True), (3.0, False)):
+        cfg = SamplerConfig(kind=kind, num_inference_steps=12, guidance_scale=guidance)
+        mixed, _, provs = generate_batch(a, b, cfg, sched, models, seeds, 1.0)
+        only_a, _, _ = generate_batch(a, None, cfg, sched, models, seeds)
+        only_b, _, _ = generate_batch(b, None, cfg, sched, models, seeds)
+        masks = mask_from_rect(8, 8, [p.rect for p in provs]).astype(bool)
+        assert 0 < masks.sum() < masks.size
+        assert np.array_equal(mixed, np.where(masks, only_a, only_b)) is equal, guidance
 
 
 def test_noisecutmix_label_uses_realized_lambda(sched, bump_models):
