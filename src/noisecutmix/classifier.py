@@ -202,7 +202,10 @@ def validation_split(
     order = real_idx[rng.permutation(real_idx.size)]
     val_idx = np.sort(order[:validation_size(real_idx.size, val_fraction)])
     assert not synthetic[val_idx].any(), "synthetic sample leaked into validation"
-    return np.setdiff1d(np.arange(synthetic.size), val_idx), val_idx
+    # a mask, not np.setdiff1d, whose np.ma lookup imports numpy.ma on first use
+    in_val = np.zeros(synthetic.size, dtype=bool)
+    in_val[val_idx] = True
+    return np.flatnonzero(~in_val), val_idx
 
 
 @_one_blas_thread()
@@ -270,13 +273,15 @@ def train(
         )
 
     labels_hard = np.argmax(labels, axis=1)
-    classes = np.unique(labels_hard)
-    if classes.size < 2:
+    # class counts, not np.unique and np.setdiff1d, which import numpy.ma on first use
+    present = np.bincount(labels_hard, minlength=labels.shape[1]) > 0
+    if np.count_nonzero(present) < 2:
         raise ValueError("dataset must contain at least 2 classes")
 
     split_rng = child_rng(cfg.seed, _SPLIT_STREAM)
     train_idx, val_idx = validation_split(synthetic, cfg.val_fraction, split_rng)
-    missing = np.setdiff1d(classes, labels_hard[train_idx])
+    trained = np.bincount(labels_hard[train_idx], minlength=labels.shape[1]) > 0
+    missing = np.flatnonzero(present & ~trained)
     if missing.size:
         raise ValueError(f"classes {missing.tolist()} empty after validation split")
 

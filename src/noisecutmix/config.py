@@ -114,12 +114,26 @@ class ExperimentConfig:
             for kind in POLICY_KINDS:
                 self.augment_policy(kind)
             n_val = validation_size(n_real, self.val_fraction)
+            n_pool = n_real + self.augment_count()
         except (ValueError, OverflowError) as exc:
             # OverflowError: an int too large for a float, such as a 10**400 width
             raise ConfigError(str(exc)) from exc
         if n_real - n_val < self.num_classes:
             raise ConfigError(f"{n_real - n_val} real training samples after the validation "
                               f"split cannot cover {self.num_classes} classes")
+        # numpy refuses an array of more bytes than its index type counts, but only when
+        # the run allocates it, after config.json is written: the run's largest arrays
+        pixels = self.width * self.height
+        for what, n_values in (("hidden_units * width * height", self.hidden_units * pixels),
+                               ("the test set", self.num_classes * self.n_test_per_class * pixels),
+                               ("a trial's training pool", n_pool * pixels)):
+            if n_values * 8 > sys.maxsize:
+                raise ConfigError(f"{what} holds {n_values} float64 values, "
+                                  "more than numpy can allocate")
+
+    def augment_count(self) -> int:
+        """Records a generating method adds to each trial's real training samples."""
+        return int(round(self.augment_ratio * (self.num_classes * self.n_train_per_class)))
 
     def dataset(self, seed: int, n_per_class: int):
         """make_bump_dataset over this config's dataset block: (models, (images, class ids))."""

@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,37 @@ def test_validation_split_excludes_synthetic():
         train_idx, val_idx = validation_split(synthetic, 0.2, child_rng(int(rng.integers(1e6)), 0))
         assert not synthetic[val_idx].any()
         assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(n))
+
+
+def test_train_names_the_classes_the_split_empties_as_setdiff1d_does():
+    # one real sample each for classes 2..5: a 4-sample validation split empties some
+    ids = np.array([0] * 6 + [1] * 6 + [2, 3, 4, 5])
+    images = np.random.default_rng(0).standard_normal((len(ids), 2, 2))
+    labels = np.eye(6)[ids]
+    emptied = set()
+    for seed in range(20):
+        cfg = TrainConfig(epochs=1, val_fraction=0.25, seed=seed)
+        train_idx, _ = validation_split(np.zeros(len(ids), bool), 0.25, child_rng(seed, _SPLIT_STREAM))
+        missing = np.setdiff1d(np.unique(ids), ids[train_idx]).tolist()
+        if missing:
+            with pytest.raises(ValueError, match=re.escape(f"classes {missing} empty after validation split")):
+                train(images, labels, cfg)
+            emptied.add(len(missing))
+        else:
+            assert len(train(images, labels, cfg)[1]) == 1
+    assert len(emptied) >= 2
+
+
+def test_train_does_not_import_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on first use: 14 ms in each fresh
+    # process, and more in each forked experiment worker
+    probe = ("import sys, numpy as np; from noisecutmix import TrainConfig, train; "
+             "ids = np.arange(12) % 2; "
+             "train(np.random.default_rng(0).standard_normal((12, 2, 2)), np.eye(2)[ids], "
+             "TrainConfig(epochs=1)); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_train_rejects_bad_datasets():

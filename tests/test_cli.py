@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from noisecutmix import ExperimentConfig
 from noisecutmix.cli import main
 from noisecutmix.recordio import read_pgm, read_provenance, read_records
 
@@ -244,6 +246,29 @@ def test_bad_config_exits_before_writing(tmp_path):
         out = tmp_path / f"o{i}"
         assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2, raw
         assert not out.exists(), raw
+
+
+def test_config_rejects_arrays_numpy_cannot_allocate(tmp_path, capsys):
+    # each once passed the config and wrote config.json; the run then failed in
+    # numpy or, for the augment_ratio, began a list of 4e301 record seeds
+    for i, raw in enumerate([
+        {"hidden_units": 10**19, "methods": ["original"], "trials": 1},
+        {"n_test_per_class": 10**19, "methods": ["original"], "trials": 1},
+        {"hidden_units": 10**18},
+        {"n_train_per_class": 10**19},
+        {"augment_ratio": 1e300, "methods": ["gen_random"], "trials": 1},
+        # numpy's own limit: the first hidden_units whose (hidden, 16 * 16) float64
+        # weights numpy refuses ("array is too big")
+        {"hidden_units": sys.maxsize // (8 * 256) + 1},
+    ]):
+        bad = tmp_path / f"big{i}.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / f"o{i}"
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2, raw
+        assert "more than numpy can allocate" in capsys.readouterr().err, raw
+        assert not out.exists(), raw
+    ExperimentConfig(hidden_units=sys.maxsize // (8 * 256))  # one fewer passes
 
 
 def test_report_without_a_results_table_exits_3(tmp_path, capsys):

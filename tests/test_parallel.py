@@ -1,0 +1,191 @@
+"""run_experiment's (method, trial) units on a forked process pool.
+
+A run takes the pool only when its work estimate reaches
+harness._POOL_MIN_WORK, so these tests lower the cut to force the pool on
+a tiny config and raise it out of reach for the serial run they compare
+with. Each unit is logged by a wrapped run_method, which reaches the
+workers through fork: the log names the units that started and the
+process that ran each.
+"""
+
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from noisecutmix import ExperimentConfig, NumericalDivergence, harness
+from noisecutmix.cli import main
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+TINY = dict(
+    num_classes=2, width=8, height=8, bump_sigma=1.5, noise_var=0.4, n_train_per_class=6,
+    n_test_per_class=8, schedule_steps=60, num_inference_steps=6, epochs=3, hidden_units=8,
+    master_seed=3,
+)
+REAL_RUN_METHOD = harness.run_method
+# how long each unit after the failing one takes: long enough that the parent
+# cancels the units not yet handed to a worker before any worker is free
+SLOW_UNIT_S = 0.3
+
+
+def log_units(monkeypatch, log: Path, fail=None, exc=None):
+    """Wrap run_method so each unit touches log/<method>_t<trial>.<pid> as it
+    starts; the unit fail raises exc, if given, and the units after it run slowly."""
+    log.mkdir()
+
+    def logged(method, cfg, sched, seed, test_set):
+        units = [(m, i) for m in cfg.methods for i in range(cfg.trials)]
+        unit = next(u for u in units if harness.trial_seed(cfg.master_seed, *u) == seed)
+        (log / f"{unit[0]}_t{unit[1]}.{os.getpid()}").touch()
+        if unit == fail and exc is not None:
+            raise exc(f"unit {unit} failed")
+        if fail is not None and units.index(unit) > units.index(fail):
+            time.sleep(SLOW_UNIT_S)
+        return REAL_RUN_METHOD(method, cfg, sched, seed, test_set)
+
+    monkeypatch.setattr(harness, "run_method", logged)
+
+
+def experiment(tmp_path, monkeypatch, name, raw, pooled):
+    """Run the CLI on raw with the pool forced on or off; (exit code or the
+    exception's type, output dir, {unit: pid that ran it})."""
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0 if pooled else 1 << 62)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / name
+    try:
+        result = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    except KeyboardInterrupt as exc:
+        result = type(exc)
+    log = tmp_path / f"{name}_log"
+    started = {p.stem: int(p.suffix[1:]) for p in log.iterdir()} if log.is_dir() else {}
+    return result, out, started
+
+
+def files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("sampler", ["dpm_solver_pp_2m", "ancestral"])
+def test_pooled_run_writes_the_serial_runs_bytes(tmp_path, monkeypatch, sampler):
+    raw = {**TINY, "sampler_kind": sampler, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}
+    code, serial, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == 0
+    log_units(monkeypatch, tmp_path / "pooled_log")
+    code, pooled, started = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == 0
+    assert len(started) == 6 and os.getpid() not in started.values()
+    assert multiprocessing.active_children() == []
+    assert files(pooled) == files(serial)
+    assert {"results.tsv", "noisecutmix_t1.records", "gen_random_montage.pgm"} <= set(files(pooled))
+
+
+@pytest.mark.parametrize("where, exc, expected", [
+    ("worker", NumericalDivergence, 4),
+    ("worker", KeyboardInterrupt, KeyboardInterrupt),
+    # the parent's write of the failing unit's records
+    ("parent", OSError, 3),
+])
+def test_a_failing_unit_fails_a_pooled_run_like_a_serial_one(tmp_path, monkeypatch, where, exc, expected):
+    raw = {**TINY, "methods": ["gen_random", "noisecutmix"], "trials": 6}
+    fail = ("gen_random", 2)
+    if where == "parent":
+        real_write = harness.write_records
+
+        def write_records(path, *args):
+            if Path(path).stem == "gen_random_t2":
+                raise exc("disk full")
+            return real_write(path, *args)
+
+        monkeypatch.setattr(harness, "write_records", write_records)
+    worker_exc = exc if where == "worker" else None
+    log_units(monkeypatch, tmp_path / "serial_log", fail, worker_exc)
+    code, serial, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == expected
+    log_units(monkeypatch, tmp_path / "pooled_log", fail, worker_exc)
+    code, pooled, started = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == expected
+    assert os.getpid() not in started.values()
+    # after the failing unit 2, the 2 workers start units 3 and 4; the 3 units
+    # queued for them are skipped and the parent cancels the rest
+    assert not {"gen_random_t5", *(f"noisecutmix_t{i}" for i in range(6))} & set(started), sorted(started)
+    assert multiprocessing.active_children() == []
+    assert "results.tsv" not in files(pooled)
+    # the units before the failing one, as the serial run wrote them
+    assert files(pooled) == files(serial)
+    assert {"gen_random_t1.records", "gen_random_t1.prov", "gen_random_montage.pgm"} <= set(files(pooled))
+
+
+def test_work_estimate_takes_the_pool_for_the_defaults_only():
+    assert harness._work_estimate(ExperimentConfig()) >= harness._POOL_MIN_WORK
+    # a tiny config, as the bench contract's experiment and most tests run it
+    tiny = ExperimentConfig(**TINY, methods=["original", "cutmix", "gen_random", "noisecutmix"], trials=2)
+    assert harness._work_estimate(tiny) < harness._POOL_MIN_WORK
+
+
+def test_importing_the_package_loads_no_process_pool():
+    probe = ("import sys, noisecutmix, noisecutmix.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# a pooled run whose units log their worker's pid and take SLOW_UNIT_S each
+INTERRUPTED_RUN = """
+import os, sys, time
+from noisecutmix import harness
+from noisecutmix.cli import main
+
+real = harness.run_method
+def slow(method, cfg, sched, seed, test_set):
+    open(os.path.join(sys.argv[1], f"start.{seed}.{os.getpid()}"), "w").close()
+    time.sleep(%r)
+    result = real(method, cfg, sched, seed, test_set)
+    open(os.path.join(sys.argv[1], f"end.{seed}.{os.getpid()}"), "w").close()
+    return result
+
+harness.run_method = slow
+harness._POOL_MIN_WORK = 0
+harness._usable_cpus = lambda: 2
+sys.exit(main(["experiment", "--config", sys.argv[2], "--out", sys.argv[3]]))
+""" % SLOW_UNIT_S
+
+
+def test_ctrl_c_stops_a_pooled_run_and_its_workers(tmp_path):
+    log, out, cfg_path = tmp_path / "log", tmp_path / "out", tmp_path / "cfg.json"
+    log.mkdir()
+    cfg_path.write_text(json.dumps({**TINY, "methods": ["gen_random", "noisecutmix"], "trials": 6}))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # a session of its own, so the signal reaches the run and its workers as a
+    # terminal's Ctrl-C reaches its foreground group, and nothing else
+    run = subprocess.Popen([sys.executable, "-c", INTERRUPTED_RUN, str(log), str(cfg_path), str(out)],
+                           env=env, start_new_session=True, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 60
+    while len(list(log.glob("start.*"))) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os.killpg(run.pid, signal.SIGINT)
+    _, err = run.communicate(timeout=60)
+    assert run.returncode == -signal.SIGINT, err.decode()
+    # the parent's traceback alone: the workers ignore the signal
+    assert err.count(b"Traceback (most recent call last)") == 1, err.decode()
+    assert b"KeyboardInterrupt" in err
+    started = {p.name[len("start."):] for p in log.glob("start.*")}
+    # the parent owns the interrupt: the workers finish the 2 units they run, then
+    # skip the 3 queued for them (5 would start without the skip)
+    assert {p.name[len("end."):] for p in log.glob("end.*")} == started
+    assert 2 <= len(started) <= 4
+    for pid in {int(name.split(".")[1]) for name in started}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert not (out / "results.tsv").exists()
