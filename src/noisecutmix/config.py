@@ -115,9 +115,10 @@ class ExperimentConfig:
                 self.augment_policy(kind)
             n_val = validation_size(n_real, self.val_fraction)
             n_pool = n_real + self.augment_count()
-        except (ValueError, OverflowError) as exc:
-            # OverflowError: an int too large for a float, such as a 10**400 width
-            raise ConfigError(str(exc)) from exc
+        except (ValueError, OverflowError, MemoryError) as exc:
+            # OverflowError: an int too large for a float, such as a 10**400 width;
+            # MemoryError: a grid too large to build, such as 100000x100000
+            raise ConfigError(str(exc) or "out of memory") from exc
         if n_real - n_val < self.num_classes:
             raise ConfigError(f"{n_real - n_val} real training samples after the validation "
                               f"split cannot cover {self.num_classes} classes")

@@ -21,7 +21,7 @@ from .classmodels import ClassModel
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import NO_CUT, mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
-from .samplers import Provenance, child_rng, generate_batch
+from .samplers import Provenance, _usable_cpus, child_rng, generate_batch
 from .schedule import Schedule, make_cosine_schedule
 
 _TRAIN_DATA_STREAM = 20
@@ -215,8 +215,12 @@ _worker_state: tuple | None = None
 def _start_worker(stop, *inputs) -> None:
     import signal
 
+    from . import samplers
+
     global _worker_state
     _worker_state = (stop, inputs)
+    # the pool holds every CPU already, so the sampler's row blocks run on this thread
+    samplers._block_threads = 1
     # the parent owns an interrupt: it stops the pool and waits for the running units
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -243,13 +247,6 @@ def _work_estimate(cfg: ExperimentConfig) -> int:
     return work
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _unit_results(inputs: tuple, units: list[tuple[str, int]]):
     """_run_unit's results for units, in unit order, as an iterator: from a
@@ -267,8 +264,8 @@ def _unit_results(inputs: tuple, units: list[tuple[str, int]]):
     from concurrent.futures import ProcessPoolExecutor
 
     # fork hands each worker the inputs and the package as they are here. No other
-    # Python thread runs now (the ancestral draw thread lives inside run_reverse
-    # calls), and OpenBLAS stops its own threads around a fork (pthread_atfork).
+    # Python thread runs now (the sampler's threads live inside run_reverse calls),
+    # and OpenBLAS stops its own threads around a fork (pthread_atfork).
     context = multiprocessing.get_context("fork")
     stop = context.Event()
     pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,

@@ -11,9 +11,11 @@ independent child streams, one for mask/ratio draws and one for the
 trajectory, so a record is reproducible bit-exactly from its
 provenance, alone or in any batch.
 
-Only the ancestral path on large batches starts a thread: one worker per
-run_reverse call that only draws, overlapping the steps' noise draws
-with their arithmetic, bit-identically (see run_reverse).
+Threads live only inside a run_reverse call, and neither changes a bit
+(see run_reverse). DPM-Solver++(2M) runs a batch larger than one row
+block as blocks on one thread per usable CPU. The ancestral path on
+large batches starts one worker that only draws, overlapping the steps'
+noise draws with their arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import collections
 import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,27 @@ _OVERLAP_MIN_VALUES = 1 << 15
 # 1000-step call at n=2000 (1 MiB per draw) took 4.0-4.2 s serially,
 # 4.0-5.3 s with two buffers and 3.2-3.4 s with eight.
 _DRAW_AHEAD_BYTES = 8 << 20
+# DPM-Solver++(2M) runs a batch in row blocks of at most this many array
+# values, each block through every step on its own working arrays, which
+# then stay in a core's L2 cache. The sample_batch workload's guided, masked
+# 2000x16x16 call on a 2-vCPU x86_64 VM (4 MiB L2 per core), medians of 9,
+# one thread / two: 2^15 values 378 / 316 ms, 2^16 402 / 256 ms, 2^17
+# 430 / 270 ms, 2^18 500 / 296 ms, unblocked 522 ms. At 2^13 two threads
+# lost to one (795 against 536 ms): the per-step calls contend for the
+# interpreter lock.
+_BLOCK_VALUES = 1 << 16
+# Threads a call with several blocks runs them on: None for one per usable
+# CPU. harness._start_worker sets 1 in each forked experiment worker, whose
+# pool already holds every CPU.
+_block_threads: int | None = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -278,36 +302,58 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     draws the initial noise and then each ancestral step's noise, in
     step order, and nothing for the terminal step.
 
-    The working (n, H, W) arrays are allocated once, before the first
-    step, and every step writes into them: x and the noise estimate, the
-    unconditional and class_a estimates when guiding or mixing, and for
-    DPM-Solver++(2M) one that receives the first update. There the data
-    prediction overwrites the noise estimate and each later update
-    overwrites the previous prediction, so x, the estimate and the
-    previous prediction rotate through three arrays.
+    class_a and class_b are class ids or (n,) arrays of them, keep_a None,
+    one (H, W) mask or (n, H, W) masks; any other shape raises ValueError.
 
-    The ancestral path alone adds noise buffers and, when x has at least
-    _OVERLAP_MIN_VALUES values, one worker thread scoped to this call,
-    whose only job is rng.standard_normal: it fills the next steps'
-    buffers, a ring of up to _DRAW_AHEAD_BYTES, while this thread runs
-    the current step's prediction and update. The draws never depend on
-    x, so they can run ahead; they come in a serial loop's order, and
-    each step runs the same ufuncs in the same order, so the bits are a
-    serial loop's, with or without the worker. If a step raises, the
-    worker finishes the draws already queued and is joined before the
-    error propagates. Without the worker, each step's noise is drawn
-    into one buffer just before the step. DPM-Solver++(2M) draws nothing
-    after the initial noise and starts no thread.
+    DPM-Solver++(2M) draws nothing after the initial noise, so each
+    record's trajectory is then independent of the others'. It splits
+    the rows into near-equal blocks of at most _BLOCK_VALUES array values
+    and runs each block through every step to t=0 on its own
+    guided_eps_fn buffers and three arrays that x, the noise estimate
+    and the previous data prediction rotate through (the data prediction
+    overwrites the estimate, each later update the previous prediction);
+    the block then writes its rows of x. The blocks run on
+    min(blocks, _block_threads or usable CPUs) threads scoped to the
+    call, as numpy's ufuncs release the interpreter lock, or on the
+    calling thread alone when that is one: a one-block call starts
+    nothing and imports nothing. Every row sees the same ufuncs
+    in the same order whatever its block, elementwise and per-record
+    (H, W) reductions alone, so the bits do not depend on the blocking.
+    If blocks raise, the first block's error propagates once the running
+    blocks end, and the blocks not started are cancelled; where several
+    blocks fail differently, that can be another error than one block of
+    all rows would raise first.
+
+    The ancestral path allocates its (n, H, W) working arrays once and
+    every step writes into them: x and the noise estimate, the
+    unconditional and class_a estimates when guiding or mixing, and
+    noise buffers. When x has at least _OVERLAP_MIN_VALUES values, one
+    worker thread scoped to this call does nothing but
+    rng.standard_normal: it fills the next steps' buffers, a ring of up
+    to _DRAW_AHEAD_BYTES, while this thread runs the current step's
+    prediction and update. The draws never depend on x, so they can run
+    ahead; they come in a serial loop's order, and each step runs the
+    same ufuncs in the same order, so the bits are a serial loop's, with
+    or without the worker. If a step raises, the worker finishes the
+    draws already queued and is joined before the error propagates.
+    Without the worker, each step's noise is drawn into one buffer just
+    before the step.
     """
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
-    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
+    grid = x.shape[1:]
+    # per-record arguments: shared ones are passed whole, the rest sliced per block
+    per_record = (class_a, ()), (class_b, ()), (keep_a, grid)
+    for name, (arg, shared) in zip(("class_a", "class_b", "keep_a"), per_record):
+        if arg is not None and np.shape(arg) not in (shared, (n,) + shared):
+            raise ValueError(f"{name} of shape {np.shape(arg)} for {n} records of shape {grid}")
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps)
-    eps = np.empty_like(x)
     if cfg.kind == ANCESTRAL:
         # imported here, so importing the package and the DPM path pay nothing for it
         from concurrent.futures import ThreadPoolExecutor
 
+        eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
+        eps = np.empty_like(x)
         draws = len(ts) - 2  # one per step but the terminal one
         overlap = x.size >= _OVERLAP_MIN_VALUES
         depth = max(2, min(draws, _DRAW_AHEAD_BYTES // x.nbytes)) if overlap else 1
@@ -328,14 +374,37 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
                 eps_fn(x, int(ts[k]), out=eps)
                 step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, step_noise, out=x)
         return x
-    free, prev_pred, prev_t = np.empty_like(x), None, None
-    for k in range(len(ts) - 1):
-        t_curr, t_to = int(ts[k]), int(ts[k + 1])
-        eps_fn(x, t_curr, out=eps)
-        pred = tweedie_x0(x, eps, t_curr, sched, out=eps)
-        dest = free if prev_pred is None else prev_pred
-        x, eps = step_dpm_pp_2m(x, pred, prev_pred, (prev_t, t_curr, t_to), sched, out=dest), x
-        prev_pred, prev_t = pred, t_curr
+
+    def run_block(lo, hi):
+        """Rows lo:hi of x through every step to t=0, on the block's own arrays."""
+        rows = [a if a is None or np.shape(a) == shared else a[lo:hi] for a, shared in per_record]
+        cur = x[lo:hi]
+        eps_fn = guided_eps_fn(*rows, cfg, sched, family, cur.shape)
+        eps, free, prev_pred, prev_t = np.empty_like(cur), np.empty_like(cur), None, None
+        for k in range(len(ts) - 1):
+            t_curr, t_to = int(ts[k]), int(ts[k + 1])
+            eps_fn(cur, t_curr, out=eps)
+            pred = tweedie_x0(cur, eps, t_curr, sched, out=eps)
+            dest = free if prev_pred is None else prev_pred
+            times = (prev_t, t_curr, t_to)
+            cur, eps = step_dpm_pp_2m(cur, pred, prev_pred, times, sched, out=dest), cur
+            prev_pred, prev_t = pred, t_curr
+        x[lo:hi] = cur
+
+    blocks = max(1, -(-n // max(1, _BLOCK_VALUES // math.prod(grid))))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    threads = min(blocks, _block_threads or _usable_cpus())
+    if threads < 2:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            run_block(lo, hi)
+        return x
+    # imported here, so importing the package and a one-block call pay nothing for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        # in block order: the first failing block raises, and the blocks not started are cancelled
+        for _ in pool.map(run_block, bounds[:-1], bounds[1:]):
+            pass
     return x
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from noisecutmix import ExperimentConfig
+from noisecutmix import ExperimentConfig, config
 from noisecutmix.cli import main
 from noisecutmix.recordio import read_pgm, read_provenance, read_records
 
@@ -269,6 +269,26 @@ def test_config_rejects_arrays_numpy_cannot_allocate(tmp_path, capsys):
         assert "more than numpy can allocate" in capsys.readouterr().err, raw
         assert not out.exists(), raw
     ExperimentConfig(hidden_units=sys.maxsize // (8 * 256))  # one fewer passes
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_a_grid_too_large_to_build_exits_2_before_writing(tmp_path, capsys, monkeypatch, message):
+    # the grid is never allocated: make_bump_dataset fails as numpy would on a
+    # 100000x100000 grid, at load time, when the config builds its dataset
+    built = []
+
+    def out_of_memory(num_classes, width, height, *args):
+        built.append((width, height))
+        raise MemoryError(message)
+
+    monkeypatch.setattr(config, "make_bump_dataset", out_of_memory)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"width": 100000, "height": 100000}))
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 2
+    assert built == [(100000, 100000)]
+    assert (message or "out of memory") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_without_a_results_table_exits_3(tmp_path, capsys):

@@ -8,6 +8,8 @@ workers through fork: the log names the units that started and the
 process that ran each.
 """
 
+import concurrent.futures
+import itertools
 import json
 import multiprocessing
 import os
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from noisecutmix import ExperimentConfig, NumericalDivergence, harness
+from noisecutmix import ExperimentConfig, NumericalDivergence, harness, samplers
 from noisecutmix.cli import main
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
@@ -88,6 +90,42 @@ def test_pooled_run_writes_the_serial_runs_bytes(tmp_path, monkeypatch, sampler)
     assert multiprocessing.active_children() == []
     assert files(pooled) == files(serial)
     assert {"results.tsv", "noisecutmix_t1.records", "gen_random_montage.pgm"} <= set(files(pooled))
+
+
+def test_pooled_workers_run_their_sampler_blocks_on_their_own_thread(tmp_path, monkeypatch):
+    # each unit's 12 generated 8x8 records run as 3 DPM blocks of 4 rows; the
+    # serial run gives them 2 threads, a worker its own thread alone
+    monkeypatch.setattr(samplers, "_BLOCK_VALUES", 5 * 64)
+    monkeypatch.setattr(samplers, "_block_threads", 2)
+    blocks = tmp_path / "blocks"
+    blocks.mkdir()
+    real = samplers.guided_eps_fn
+    calls = itertools.count()
+
+    def logged(*args):
+        (blocks / f"{os.getpid()}.{next(calls)}.{args[-1][0]}").touch()
+        return real(*args)
+
+    monkeypatch.setattr(samplers, "guided_eps_fn", logged)
+    raw = {**TINY, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}
+    code, serial, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == 0
+    serial_blocks = sorted(p.name for p in blocks.iterdir())
+    assert len(serial_blocks) == 12 and {name.split(".")[0] for name in serial_blocks} == {str(os.getpid())}
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a sampler block thread started in a worker")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    for p in blocks.iterdir():
+        p.unlink()
+    code, pooled, _ = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == 0
+    assert files(pooled) == files(serial)
+    pooled_blocks = [p.name.split(".") for p in blocks.iterdir()]
+    assert len(pooled_blocks) == 12 and {rows for _, _, rows in pooled_blocks} == {"4"}
+    assert str(os.getpid()) not in {pid for pid, _, _ in pooled_blocks}
+    assert samplers._block_threads == 2  # only the workers set their own
 
 
 @pytest.mark.parametrize("where, exc, expected", [

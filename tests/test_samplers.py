@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import sys
 import threading
 
 import numpy as np
@@ -416,6 +417,153 @@ def test_no_worker_for_dpm_or_small_draws(sched, bump_models, kind, n, monkeypat
     images = run_reverse(0, None, None, cfg, sched, bump_models, rng, n)
     assert images.shape == (n, 8, 8) and threading.active_count() == before
     assert set(rng.threads) == {threading.get_ident()}
+
+
+# rows per forced DPM block on the 8x8 grid
+BLOCK_ROWS = 4
+
+
+def _force_blocks(monkeypatch, rows, threads):
+    """DPM blocks of rows records of 8x8 on threads threads; logs each block's row count."""
+    monkeypatch.setattr(samplers, "_BLOCK_VALUES", rows * 64)
+    monkeypatch.setattr(samplers, "_block_threads", threads)
+    block_rows = []
+    real = samplers.guided_eps_fn
+
+    def logged(class_a, class_b, keep_a, cfg, sched, models, shape):
+        block_rows.append(shape[0])
+        return real(class_a, class_b, keep_a, cfg, sched, models, shape)
+
+    monkeypatch.setattr(samplers, "guided_eps_fn", logged)
+    return block_rows
+
+
+def _dpm_entry(entry, n, cfg, sched, models):
+    """The DPM images of one entry point over n records (seeded by n)."""
+    seeds = [1000 * n + i for i in range(n)]
+    ids = [i % 2 for i in range(n)]
+    if entry == "int class":
+        return sample_single_batch(1, cfg, sched, models, seeds[0], n)
+    if entry == "id array":
+        return generate_batch(ids, None, cfg, sched, models, seeds)[0]
+    if entry == "2-D mask":
+        mask = np.zeros((8, 8), dtype=np.uint8)
+        mask[2:7, :5] = 1
+        return sample_noisecutmix_batch(0, 1, mask, cfg, sched, models, seeds[0], n)
+    # (N, H, W) masks, one drawn per record, and a class_b array
+    return generate_batch(ids, [1 - a for a in ids], cfg, sched, models, seeds, alpha=1.0)[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("guidance", [1.0, 7.5])
+@pytest.mark.parametrize("entry", ["int class", "id array", "2-D mask", "(N, H, W) masks"])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_dpm_row_blocks_keep_the_one_block_bits(sched, bump_models, n, entry, guidance, threads,
+                                                monkeypatch):
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=guidance)
+    one_block = _dpm_entry(entry, n, cfg, sched, bump_models)
+    block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, threads)
+    blocked = _dpm_entry(entry, n, cfg, sched, bump_models)
+    assert np.array_equal(blocked, one_block)
+    # near-equal blocks of at most BLOCK_ROWS rows that cover the n rows
+    assert len(block_rows) == -(-n // BLOCK_ROWS) and sum(block_rows) == n
+    assert max(block_rows) - min(block_rows) <= 1 <= min(block_rows) <= max(block_rows) <= BLOCK_ROWS
+
+
+def _plain_dpm(class_a, class_b, keep_a, cfg, sched, models, rng, n):
+    """run_reverse's DPM path as one plain step loop over all rows, allocating per call."""
+    family = class_family(models)
+    x = rng.standard_normal((n,) + family.means.shape[1:])
+    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
+    ts = timestep_grid(sched.num_steps, cfg.num_inference_steps).tolist()
+    prev_pred, prev_t = None, None
+    for t_curr, t_to in zip(ts[:-1], ts[1:]):
+        pred = tweedie_x0(x, eps_fn(x, t_curr), t_curr, sched)
+        x = step_dpm_pp_2m(x, pred, prev_pred, (prev_t, t_curr, t_to), sched)
+        prev_pred, prev_t = pred, t_curr
+    return x
+
+
+# x, the estimate and the previous prediction rotate through three arrays, so
+# 4, 5 and 6 steps end in each of them
+@pytest.mark.parametrize("steps", [4, 5, 6])
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 1 << 20], ids=["blocked", "one block"])
+def test_dpm_run_matches_a_plain_step_loop(sched, bump_models, rows, steps, monkeypatch):
+    n = 3 * BLOCK_ROWS + 5
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=steps, guidance_scale=7.5)
+    cond = np.arange(n) % 2
+    keep = child_rng(9, 0).random((n, 8, 8)) < 0.5
+    expected = _plain_dpm(cond, 1 - cond, keep, cfg, sched, bump_models, child_rng(3, 1), n)
+    _force_blocks(monkeypatch, rows, 2)
+    images = run_reverse(cond, 1 - cond, keep, cfg, sched, bump_models, child_rng(3, 1), n)
+    assert np.array_equal(images, expected)
+
+
+def test_dpm_blocks_keep_their_bits_with_more_threads_than_cores(sched, bump_models, monkeypatch):
+    # every block writes its own rows of one shared x: one-row blocks on 8 threads,
+    # switching between threads as often as the interpreter allows
+    n = 37
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=7.5)
+    one_block = _dpm_entry("(N, H, W) masks", n, cfg, sched, bump_models)
+    block_rows = _force_blocks(monkeypatch, 1, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocked = _dpm_entry("(N, H, W) masks", n, cfg, sched, bump_models)
+    finally:
+        sys.setswitchinterval(interval)
+    assert block_rows == [1] * n
+    assert np.array_equal(blocked, one_block)
+
+
+class _NanRowRng:
+    """A generator whose draws hold NaN in one row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def standard_normal(self, shape):
+        x = child_rng(5, 1).standard_normal(shape)
+        x[self.row] = np.nan
+        return x
+
+
+@pytest.mark.parametrize("row", [0, 7, 3 * BLOCK_ROWS + 4], ids=["first block", "middle block", "last row"])
+@pytest.mark.parametrize("fault", ["unknown class id", "divergence"])
+def test_a_failing_dpm_block_raises_the_one_block_error(sched, bump_models, fault, row, monkeypatch):
+    n = 3 * BLOCK_ROWS + 5
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=6, guidance_scale=7.5)
+    if fault == "unknown class id":
+        cond, make_rng, expected = np.zeros(n, dtype=np.int64), lambda: child_rng(5, 1), ValueError
+        cond[row] = 7
+    else:
+        cond, make_rng, expected = 1, lambda: _NanRowRng(row), NumericalDivergence
+
+    def error():
+        with pytest.raises(expected) as excinfo:
+            run_reverse(cond, None, None, cfg, sched, bump_models, make_rng(), n)
+        return type(excinfo.value), str(excinfo.value)
+
+    one_block = error()
+    before = threading.active_count()
+    block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, 2)
+    assert error() == one_block
+    assert threading.active_count() == before
+    assert block_rows and max(block_rows) <= BLOCK_ROWS
+
+
+def test_dpm_run_rejects_per_record_arguments_of_other_lengths(sched, bump_models, monkeypatch):
+    # a block takes its rows by slicing, which would cut a longer array short
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=3, guidance_scale=7.5)
+    _force_blocks(monkeypatch, BLOCK_ROWS, 2)
+    n = 2 * BLOCK_ROWS
+    for cond, keep_a in [(np.zeros(n + 1, dtype=np.int64), None),
+                         (np.zeros((n, 1), dtype=np.int64), None),
+                         (0, np.ones((n - 1, 8, 8), dtype=bool)),
+                         (0, np.ones((8, 4), dtype=bool))]:
+        with pytest.raises(ValueError, match=f"for {n} records of shape \\(8, 8\\)$"):
+            run_reverse(cond, None if keep_a is None else 1, keep_a, cfg, sched, bump_models,
+                        child_rng(1, 1), n)
 
 
 def test_noisecutmix_batch_rejects_non_binary_mask(sched, bump_models):
