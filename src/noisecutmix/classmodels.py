@@ -34,7 +34,7 @@ class ClassModel:
 
     class_id: int
     mean: np.ndarray  # (H, W)
-    var: np.ndarray   # (H, W), all >= VAR_FLOOR
+    var: np.ndarray   # (H, W), all finite and >= VAR_FLOOR
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -43,8 +43,8 @@ class ClassModel:
             raise ValueError("mean and var must have the same shape")
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("class mean must be finite")
-        if np.any(self.var < VAR_FLOOR):
-            raise ValueError(f"variances must be >= {VAR_FLOOR}")
+        if not np.all(np.isfinite(self.var) & (self.var >= VAR_FLOOR)):
+            raise ValueError(f"variances must be finite and >= {VAR_FLOOR}")
 
 
 def _bump_centers(num_classes: int, width: int, height: int) -> list[tuple[float, float]]:
@@ -84,8 +84,6 @@ def make_bump_dataset(
         raise ValueError("grid must be at least 4x4")
     if bump_sigma <= 0.0:
         raise ValueError("bump_sigma must be positive")
-    if noise_var < VAR_FLOOR:
-        raise ValueError(f"noise_var must be >= {VAR_FLOOR}")
     if n_per_class < 0:
         raise ValueError("n_per_class must be >= 0")
 
@@ -127,13 +125,6 @@ def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
     return ClassFamily(np.stack([m.mean for m in models]), np.stack([m.var for m in models]))
 
 
-def _step_params(t: int, sched: Schedule):
-    if not (1 <= t <= sched.num_steps):
-        raise ValueError(f"step index {t} outside [1, {sched.num_steps}]")
-    ab = float(sched.alpha_bar[t])
-    return ab, math.sqrt(ab), math.sqrt(1.0 - ab)
-
-
 def predict_noise(
     x_t: np.ndarray,
     cond: int | np.ndarray | None,
@@ -157,7 +148,9 @@ def predict_noise(
     """
     family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
-    ab, sqrt_ab, sqrt_1mab = _step_params(t, sched)
+    if not (1 <= t <= sched.num_steps):  # a negative t would index from the end
+        raise ValueError(f"step index {t} outside [1, {sched.num_steps}]")
+    ab, sqrt_ab, sqrt_1mab = float(sched.alpha_bar[t]), sched.signal(t), sched.noise(t)
     num_classes = len(family.means)
 
     if cond is None and num_classes == 1:

@@ -167,9 +167,12 @@ def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -
     """PGM montage of images (N, H, W): per record one row holding the
     image tile and, beside it, the mask tile its provenance rebuilds;
     1-pixel separators; affine pixel mapping recorded in the header
-    comment."""
+    comment. Non-finite images raise ValueError before the file is opened:
+    they have no pixel mapping."""
     if len(images) == 0 or len(images) != len(provs):
         raise ValueError(f"need one provenance per image, got {len(provs)} for {len(images)}")
+    if not np.all(np.isfinite(images)):
+        raise ValueError("montage images must be finite")
     _, h, w = images.shape
     lo, hi = float(images.min()), float(images.max())
     span = hi - lo

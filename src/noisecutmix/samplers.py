@@ -337,7 +337,9 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     or without the worker. If a step raises, the worker finishes the
     draws already queued and is joined before the error propagates.
     Without the worker, each step's noise is drawn into one buffer just
-    before the step.
+    before the step. A non-finite terminal batch raises
+    NumericalDivergence, as a non-finite data prediction does on the
+    DPM-Solver++(2M) path.
     """
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
@@ -373,6 +375,9 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
                 step_noise = pending.popleft()()
                 eps_fn(x, int(ts[k]), out=eps)
                 step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, step_noise, out=x)
+        # each step is affine in x, so a value that turned non-finite on the way stays so
+        if not np.all(np.isfinite(x)):
+            raise NumericalDivergence("ancestral trajectory ended non-finite")
         return x
 
     def run_block(lo, hi):

@@ -47,9 +47,7 @@ class Schedule:
         return float(self.sigma[t])
 
     def log_snr_half(self, t: int) -> float:
-        """log(a_t / sigma_t); +inf at t = 0 where sigma vanishes."""
-        if t == 0:
-            return math.inf
+        """log(a_t / sigma_t) for 1 <= t <= T; sigma_0 is 0."""
         return 0.5 * math.log(self.alpha_bar[t] / (1.0 - self.alpha_bar[t]))
 
 

@@ -8,6 +8,7 @@ zero; here it fails a test. The bench files are imported as they are.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -86,3 +87,15 @@ def test_cli_experiment_runs_passes_checks_and_is_traced(tmp_path):
     assert "results.tsv" in workload.digest(out, result)
     summary = spans.summary()
     assert [s for s in TRACED_SPANS if summary.get(s, {"calls": 0})["calls"] == 0] == []
+
+
+def test_every_harness_writer_takes_the_path_it_writes_first():
+    # the tracer wraps each harness.write_* as a recordio.write span and sizes its first
+    # argument (or its `path` keyword) as the file written; a writer taking, say, a
+    # directory first would change recordio.write.bytes without failing anything else
+    harness = PKG["harness"]
+    writers = sorted(name for name in vars(harness) if name.startswith("write_"))
+    assert writers
+    for name in writers:
+        first = next(iter(inspect.signature(getattr(harness, name)).parameters.values()))
+        assert (first.name, first.kind) == ("path", first.POSITIONAL_OR_KEYWORD), name

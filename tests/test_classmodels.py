@@ -10,7 +10,7 @@ from noisecutmix import (
     make_cosine_schedule,
     predict_noise,
 )
-from noisecutmix.classmodels import LOG_2PI, ClassFamily, _step_params
+from noisecutmix.classmodels import LOG_2PI, ClassFamily
 
 # ---------------------------------------------------------------------------
 # independent oracle: closed-form log mixture density and its finite-difference
@@ -62,6 +62,10 @@ def test_bump_means_distinct_and_equal_mass():
 def test_bump_dataset_rejects_degenerate_noise():
     with pytest.raises(ValueError):
         make_bump_dataset(2, 8, 8, 1.5, 0.0, seed=0, n_per_class=1)
+    # a NaN noise_var used to pass the floor check and return NaN samples
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="variances must be finite"):
+            make_bump_dataset(2, 8, 8, 1.5, bad, seed=0, n_per_class=1)
 
 
 def test_bump_dataset_rejects_too_many_classes():
@@ -222,8 +226,19 @@ def test_predictor_validation():
     for cond in ([0, 0, 1], [3, 0, 0], [0, -1, 0]):  # an unknown id anywhere in an array
         with pytest.raises(ValueError, match="unknown class id"):
             predict_noise(np.zeros((3, 6, 6)), np.array(cond), 73, sched, models)
-    with pytest.raises(ValueError):
-        predict_noise(x, 0, 0, sched, models)
+    # t = -1 would otherwise read abar_T through numpy's negative indexing
+    for t in (0, -1, 101):
+        with pytest.raises(ValueError, match=f"step index {t} outside"):
+            predict_noise(x, 0, t, sched, models)
+
+
+@pytest.mark.parametrize("num_steps", [60, 1000, 4000])
+def test_schedule_accessors_are_the_square_roots_of_alpha_bar(num_steps):
+    # predict_noise reads sqrt(abar_t) and sqrt(1 - abar_t) from the schedule
+    sched = make_cosine_schedule(num_steps)
+    for t in range(1, num_steps + 1):
+        ab = float(sched.alpha_bar[t])
+        assert (sched.signal(t), sched.noise(t)) == (math.sqrt(ab), math.sqrt(1.0 - ab))
 
 
 def test_predictor_rejects_class_ids_of_another_length():
@@ -244,6 +259,12 @@ def test_class_model_validation():
         ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ClassModel(class_id=0, mean=np.full((2, 2), np.nan), var=np.ones((2, 2)))
+    # a NaN variance used to pass the floor check, an inf one to zero every estimate
+    for bad in (math.nan, math.inf):
+        var = np.ones((2, 2))
+        var[1, 0] = bad
+        with pytest.raises(ValueError, match="variances must be finite"):
+            ClassModel(class_id=0, mean=np.zeros((2, 2)), var=var)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +276,7 @@ def test_class_model_validation():
 def _predict_noise_reference(x_t, cond, t, sched, models, out=None):
     family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
-    ab, sqrt_ab, sqrt_1mab = _step_params(t, sched)
+    ab, sqrt_ab, sqrt_1mab = float(sched.alpha_bar[t]), sched.signal(t), sched.noise(t)
 
     if cond is None and len(family.means) == 1:
         # one-class mixture: responsibilities are identically 1

@@ -180,6 +180,24 @@ def test_report_rejects_short_provenance(tmp_path, cfg_path, capsys):
     assert "has 0 lines for 12 records" in capsys.readouterr().err
 
 
+def test_report_rejects_non_finite_records(tmp_path, cfg_path, capsys):
+    # a NaN pixel used to re-render the montage as all-zero tiles headed lo=nan hi=nan
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    montage = out / "noisecutmix_montage.pgm"
+    montage_before = montage.read_bytes()
+    records = out / "noisecutmix_t0.records"
+    data = bytearray(records.read_bytes())
+    payload = data.index(b"\n") + 1
+    data[payload:payload + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    records.write_bytes(bytes(data))
+    assert np.isnan(read_records(records)[0][0, 0, 0])
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == 2
+    assert "montage images must be finite" in capsys.readouterr().err
+    assert montage.read_bytes() == montage_before
+
+
 def test_report_rejects_malformed_tables(tmp_path, capsys):
     good = "# method\ttrial0\ttrial1\tmean\tstd\na\t0.500000\t0.700000\t0.600000\t0.141421\n"
     for i, table in enumerate([
@@ -333,6 +351,25 @@ def test_exit_code_numerical_failure(tmp_path, cfg_path):
         code = main(["train", "--config", str(cfg_path), "--input", str(data),
                      "--seed", "0", "--model-out", str(tmp_path / "m.bin")])
     assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_sampler_divergence_exits_4_and_writes_no_records(tmp_path, cfg_path, capsys, kind, command):
+    # the ancestral sampler used to write all-NaN records here (generate exited 0)
+    cfg = json.loads(cfg_path.read_text())
+    cfg.update(sampler_kind=kind, guidance_scale=1e300, num_inference_steps=5,
+               schedule_steps=60, methods=["gen_random", "noisecutmix"])
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    if command == "generate":
+        args += ["--method", "noisecutmix", "--count", "3", "--pgm"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command] + args) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(tmp_path.glob("**/*.records")) == []
+    assert list(tmp_path.glob("**/*.pgm")) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
