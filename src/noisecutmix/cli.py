@@ -34,7 +34,6 @@ from .recordio import (
     write_records,
 )
 from .samplers import child_rng
-from .schedule import make_cosine_schedule
 
 
 def _load_cfg(path: str | None) -> ExperimentConfig:
@@ -45,10 +44,8 @@ def _cmd_generate(args) -> int:
     cfg = _load_cfg(args.config)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    models, _ = cfg.dataset(0, 0)
-    sched = make_cosine_schedule(cfg.schedule_steps)
     seed = cfg.master_seed if args.seed is None else args.seed
-    images, labels, provs = generate_records(args.method, cfg, models, sched, args.count, seed)
+    images, labels, provs = generate_records(args.method, cfg, args.count, seed)
     write_records(f"{args.out}.records", images, labels)
     write_provenance(f"{args.out}.prov", provs)
     if args.pgm:
@@ -60,9 +57,10 @@ def _cmd_generate(args) -> int:
 def _cmd_augment(args) -> int:
     policy = AugmentPolicy(kind=args.policy, alpha=args.alpha, probability=args.probability)
     batch = read_records(args.input)
-    if not np.all(np.isfinite(batch[0])):
-        # train and evaluate refuse non-finite images, so write none
-        raise ValueError("images must be finite")
+    for name, values in zip(("images", "labels"), batch):
+        if not np.all(np.isfinite(values)):
+            # train and evaluate refuse non-finite records, so write none
+            raise ValueError(f"{name} must be finite")
     images, labels = apply_policy(batch, policy, child_rng(args.seed, 0))
     write_records(args.out, images, labels)
     print(f"wrote {len(images)} augmented records to {args.out}")
@@ -85,6 +83,9 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_classifier(args.model)
     images, labels = read_records(args.input)
+    if not np.all(np.isfinite(labels)):
+        # argmax would read an all-NaN row as class 0
+        raise ValueError("labels must be finite")
     _, h, w = images.shape
     if (model.in_dim, model.num_classes) != (h * w, labels.shape[1]):
         raise ValueError(
@@ -109,13 +110,16 @@ def _cmd_report(args) -> int:
     out = Path(args.dir)
     table = parse_result_table((out / "results.tsv").read_text(encoding="ascii"))
     sys.stdout.write(format_result_table(table))
-    for records_path in sorted(out.glob("*_t0.records")):
-        stem = records_path.name[: -len(".records")]
+    # the table's methods only: records an earlier run left in out are not this run's,
+    # and a name outside METHODS could point outside out
+    for method in (row.method for row in table.rows):
+        records_path = out / f"{method}_t0.records"
+        if method not in METHODS or not records_path.exists():
+            continue
         images, _ = read_records(records_path)
-        provs = read_provenance(out / f"{stem}.prov")
+        provs = read_provenance(out / f"{method}_t0.prov")
         if len(provs) != len(images):
-            raise ValueError(f"{stem}.prov has {len(provs)} lines for {len(images)} records")
-        method = stem[: -len("_t0")]
+            raise ValueError(f"{method}_t0.prov has {len(provs)} lines for {len(images)} records")
         export_grid(images[:8], provs[:8], out / f"{method}_montage.pgm")
         print(f"re-rendered {method}_montage.pgm")
     return 0

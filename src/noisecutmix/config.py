@@ -18,7 +18,7 @@ from .classmodels import make_bump_dataset
 from .errors import ConfigError
 from .recordio import open_atomic
 from .samplers import SamplerConfig, timestep_grid
-from .schedule import make_cosine_schedule
+from .schedule import Schedule, make_cosine_schedule
 
 # name -> (generator, pixel policy). The generator is None or a
 # Provenance.method value ("single" or "noisecutmix"), the policy an
@@ -107,7 +107,7 @@ class ExperimentConfig:
             # each component checks its own fields, so building them all rejects bad
             # values before any write; every policy kind, configured or not
             self.dataset(0, 0)
-            make_cosine_schedule(self.schedule_steps)
+            self.schedule()
             timestep_grid(self.schedule_steps, self.num_inference_steps)
             self.sampler_config()
             self.train_config()
@@ -140,6 +140,9 @@ class ExperimentConfig:
         """make_bump_dataset over this config's dataset block: (models, (images, class ids))."""
         return make_bump_dataset(self.num_classes, self.width, self.height, self.bump_sigma,
                                  self.noise_var, seed, n_per_class)
+
+    def schedule(self) -> Schedule:
+        return make_cosine_schedule(self.schedule_steps)
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(self.sampler_kind, self.num_inference_steps, self.guidance_scale)

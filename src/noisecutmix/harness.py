@@ -17,12 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import evaluate, train
-from .classmodels import ClassModel
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import NO_CUT, mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
 from .samplers import Provenance, _usable_cpus, child_rng, generate_batch
-from .schedule import Schedule, make_cosine_schedule
 
 _TRAIN_DATA_STREAM = 20
 _CLASS_PICK_STREAM = 21
@@ -72,16 +70,12 @@ class ResultTable:
 
 
 def generate_records(
-    method: str,
-    cfg: ExperimentConfig,
-    models: list[ClassModel],
-    sched: Schedule,
-    count: int,
-    seed: int,
+    method: str, cfg: ExperimentConfig, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, list[Provenance]]:
     """(images (N, H, W), labels (N, K), provenances) of count >= 1 generated
     records for a method with a generator in METHODS, from one
-    generate_batch call.
+    generate_batch call under the config's schedule and class models,
+    the ones its records' provenance regenerates under.
 
     The "single" generator draws one class per record uniformly; the
     mixing one draws the class pair uniformly without replacement. Each
@@ -90,7 +84,8 @@ def generate_records(
     generator = METHODS.get(method, (None,))[0]
     if generator is None:
         raise ValueError(f"method {method!r} does not generate records")
-    sampler_cfg = cfg.sampler_config()
+    # the class models do not depend on the dataset seed
+    models, sched, sampler_cfg = cfg.dataset(0, 0)[0], cfg.schedule(), cfg.sampler_config()
     pick_rng = child_rng(seed, _CLASS_PICK_STREAM)
     seeds = [derive_seed(seed, _RECORD_SEED_STREAM, i) for i in range(count)]
     if generator == "single":
@@ -101,33 +96,32 @@ def generate_records(
     return generate_batch(class_a, class_b, sampler_cfg, sched, models, seeds, cfg.noisemix_alpha)
 
 
-def build_training_pool(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int):
+def build_training_pool(method: str, cfg: ExperimentConfig, seed: int):
     """(images (N, H, W), labels (N, K), synthetic flags (N,), provenances
     of the generated records) for one method and trial seed; the real samples come first."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {list(METHODS)}")
     data_seed = derive_seed(seed, _TRAIN_DATA_STREAM)
-    models, (images, class_ids) = cfg.dataset(data_seed, cfg.n_train_per_class)
+    _, (images, class_ids) = cfg.dataset(data_seed, cfg.n_train_per_class)
     labels = np.eye(cfg.num_classes)[class_ids]
     n_real = len(images)
     provs: list[Provenance] = []
     n_aug = cfg.augment_count()
     if n_aug and METHODS[method][0]:
-        gen_images, gen_labels, provs = generate_records(method, cfg, models, sched, n_aug, seed)
+        gen_images, gen_labels, provs = generate_records(method, cfg, n_aug, seed)
         images = np.concatenate([images, gen_images])
         labels = np.concatenate([labels, gen_labels])
     return images, labels, np.arange(len(images)) >= n_real, provs
 
 
-def run_method(method: str, cfg: ExperimentConfig, sched: Schedule, seed: int, test_set: tuple):
+def run_method(method: str, cfg: ExperimentConfig, seed: int, test_set: tuple):
     """Train one classifier under the method's protocol and score it on test_set;
-    returns (test accuracy, the build_training_pool tuple it trained on)."""
-    pool = build_training_pool(method, cfg, sched, seed)
-    images, labels, synthetic, _ = pool
+    returns (test accuracy, generated images, their labels, their provenances)."""
+    images, labels, synthetic, provs = build_training_pool(method, cfg, seed)
     policy = cfg.augment_policy(METHODS[method][1])
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, _ = train(images, labels, train_cfg, policy, synthetic)
-    return evaluate(model, *test_set), pool
+    return evaluate(model, *test_set), images[synthetic], labels[synthetic], provs
 
 
 def format_result_table(table: ResultTable) -> str:
@@ -199,15 +193,12 @@ def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -
 
 
 def _run_unit(inputs: tuple, unit: tuple[str, int]):
-    """One (method, trial) unit of run_experiment over its shared inputs (cfg,
-    schedule, test set): (test accuracy, generated images, their labels, their
-    provenances). run_method is looked up per call, so a replaced one reaches
-    forked workers too."""
-    cfg, sched, test_set = inputs
+    """run_method of one (method, trial) unit of run_experiment over its shared
+    inputs (cfg, test set). run_method is looked up per call, so a replaced one
+    reaches forked workers too."""
+    cfg, test_set = inputs
     method, trial = unit
-    acc, (images, labels, synthetic, provs) = run_method(
-        method, cfg, sched, trial_seed(cfg.master_seed, method, trial), test_set)
-    return acc, images[synthetic], labels[synthetic], provs
+    return run_method(method, cfg, trial_seed(cfg.master_seed, method, trial), test_set)
 
 
 # a forked worker's (stop event, shared inputs), set once by _start_worker;
@@ -300,11 +291,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
     (out / "results.tsv").unlink(missing_ok=True)
 
     dump_config(cfg, out / "config.json")
-    sched = make_cosine_schedule(cfg.schedule_steps)
     _, test_set = cfg.dataset(derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)
     units = [(method, i) for method in cfg.methods for i in range(cfg.trials)]
     accs: dict[str, list[float]] = {method: [] for method in cfg.methods}
-    with _unit_results((cfg, sched, test_set), units) as results:
+    with _unit_results((cfg, test_set), units) as results:
         for (method, i), (acc, images, labels, provs) in zip(units, results):
             accs[method].append(acc)
             if provs:

@@ -206,41 +206,44 @@ def step_dpm_pp_2m(
     returned directly (the standard lower-order terminal step). The
     result goes into out if given, which may be either data prediction
     but not x; one more array is allocated per call.
+
+    A non-finite result raises NumericalDivergence, after out is written.
+    A strictly decreasing schedule gives every input a nonzero coefficient
+    (the terminal step reads the current prediction alone), so a
+    non-finite input raises too.
     """
     t_prev, t_curr, t_to = times
     if not (t_curr > t_to >= 0):
         raise ValueError(f"need t_curr > t_to >= 0, got {t_curr} -> {t_to}")
     if t_curr > sched.num_steps:
         raise ValueError(f"t_curr {t_curr} exceeds schedule length {sched.num_steps}")
-    if datapred_prev is not None:
-        if t_prev is None or not (t_prev > t_curr):
-            raise ValueError("previous data prediction requires t_prev > t_curr")
-        if not np.all(np.isfinite(datapred_prev)):
-            raise NumericalDivergence("data predictions must be finite")
-    if not np.all(np.isfinite(datapred_curr)):
-        raise NumericalDivergence("data predictions must be finite")
+    if datapred_prev is not None and (t_prev is None or not (t_prev > t_curr)):
+        raise ValueError("previous data prediction requires t_prev > t_curr")
 
     if t_to == 0:
-        return np.positive(np.asarray(datapred_curr, dtype=np.float64), out=out)  # a copy
-
-    l_curr = sched.log_snr_half(t_curr)
-    l_to = sched.log_snr_half(t_to)
-    h = l_to - l_curr
-    coef_d = sched.signal(t_to) * math.expm1(-h)
-    if datapred_prev is None:
-        tmp = None
-        d = np.multiply(coef_d, datapred_curr, out=out)
+        result = np.positive(np.asarray(datapred_curr, dtype=np.float64), out=out)  # a copy
     else:
-        h_prev = l_curr - sched.log_snr_half(t_prev)
-        r = h_prev / h
-        # datapred_prev is read before out, which may hold it, is written
-        tmp = np.multiply(1.0 / (2.0 * r), datapred_prev)
-        d = np.multiply(1.0 + 1.0 / (2.0 * r), datapred_curr, out=out)
-        np.subtract(d, tmp, out=d)
-        np.multiply(coef_d, d, out=d)
-    sigma_ratio = sched.noise(t_to) / sched.noise(t_curr)
-    scaled = np.multiply(sigma_ratio, x, out=tmp)
-    return np.subtract(scaled, d, out=d)
+        l_curr = sched.log_snr_half(t_curr)
+        l_to = sched.log_snr_half(t_to)
+        h = l_to - l_curr
+        coef_d = sched.signal(t_to) * math.expm1(-h)
+        if datapred_prev is None:
+            tmp = None
+            d = np.multiply(coef_d, datapred_curr, out=out)
+        else:
+            h_prev = l_curr - sched.log_snr_half(t_prev)
+            r = h_prev / h
+            # datapred_prev is read before out, which may hold it, is written
+            tmp = np.multiply(1.0 / (2.0 * r), datapred_prev)
+            d = np.multiply(1.0 + 1.0 / (2.0 * r), datapred_curr, out=out)
+            np.subtract(d, tmp, out=d)
+            np.multiply(coef_d, d, out=d)
+        sigma_ratio = sched.noise(t_to) / sched.noise(t_curr)
+        scaled = np.multiply(sigma_ratio, x, out=tmp)
+        result = np.subtract(scaled, d, out=d)
+    if not np.all(np.isfinite(result)):
+        raise NumericalDivergence("DPM-Solver++(2M) step result must be finite")
+    return result
 
 
 class _RecordStreams:
@@ -338,7 +341,7 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     draws already queued and is joined before the error propagates.
     Without the worker, each step's noise is drawn into one buffer just
     before the step. A non-finite terminal batch raises
-    NumericalDivergence, as a non-finite data prediction does on the
+    NumericalDivergence, as a non-finite step result does on the
     DPM-Solver++(2M) path.
     """
     family = class_family(models)

@@ -198,6 +198,23 @@ def test_report_rejects_non_finite_records(tmp_path, cfg_path, capsys):
     assert montage.read_bytes() == montage_before
 
 
+def test_report_renders_only_the_tables_methods(tmp_path, cfg_path, capsys):
+    # a gen_random_t0.records left by an earlier run in the same directory was re-rendered
+    out = tmp_path / "exp"
+    raw = json.loads(cfg_path.read_text())
+    for name, methods in (("first", ["gen_random"]), ("second", ["original"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**raw, "trials": 1, "methods": methods}))
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    stale = out / "gen_random_montage.pgm"
+    stale_before = stale.read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "original" in stdout and "gen_random" not in stdout
+    assert stale.read_bytes() == stale_before
+
+
 def test_report_rejects_malformed_tables(tmp_path, capsys):
     good = "# method\ttrial0\ttrial1\tmean\tstd\na\t0.500000\t0.700000\t0.600000\t0.141421\n"
     for i, table in enumerate([
@@ -395,6 +412,16 @@ def test_train_and_evaluate_reject_non_finite_images(tmp_path, cfg_path, capsys,
         assert main(["evaluate", "--model", str(good), "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert "images must be finite" in captured.err and "accuracy" not in captured.out
+    # all-NaN labels used to exit 0 with an accuracy: argmax read every row as class 0
+    bad_labels = tmp_path / "bad_labels.records"
+    write_records(bad_labels, np.nan_to_num(images, posinf=0.0), np.full_like(labels, bad))
+    assert main(["train", "--config", str(cfg_path), "--input", str(bad_labels),
+                 "--seed", "0", "--model-out", str(model)]) == 2
+    assert "labels must be finite" in capsys.readouterr().err
+    assert not model.exists()
+    assert main(["evaluate", "--model", str(good), "--input", str(bad_labels)]) == 2
+    captured = capsys.readouterr()
+    assert "labels must be finite" in captured.err and "accuracy" not in captured.out
 
 
 def test_augment_rejects_non_finite_images(tmp_path, capsys):
@@ -411,6 +438,16 @@ def test_augment_rejects_non_finite_images(tmp_path, capsys):
         for policy in ("cutmix", "mixup"):
             assert main(["augment", "--policy", policy, "--input", str(src), "--out", str(out)]) == 2
             assert "images must be finite" in capsys.readouterr().err
+            assert not out.exists()
+    # all-NaN labels used to exit 0 and write 6 records with NaN labels
+    one_inf_label = labels.copy()
+    one_inf_label[2, 0] = math.inf
+    for name, bad in (("nan_labels", np.full_like(labels, math.nan)), ("inf_label", one_inf_label)):
+        src, out = tmp_path / f"{name}.records", tmp_path / f"{name}_aug.records"
+        write_records(src, images, bad)
+        for policy in ("cutmix", "mixup"):
+            assert main(["augment", "--policy", policy, "--input", str(src), "--out", str(out)]) == 2
+            assert "labels must be finite" in capsys.readouterr().err
             assert not out.exists()
 
 

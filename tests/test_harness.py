@@ -264,8 +264,7 @@ def test_harness_and_cli_name_no_method():
 def test_gen_random_pool_size_counts():
     # ratio 1.0 doubles a 2-class 10-per-class set to 40 before the split
     cfg = tiny_config(n_train_per_class=10, augment_ratio=1.0)
-    sched = make_cosine_schedule(cfg.schedule_steps)
-    images, labels, synthetic, provs = build_training_pool("gen_random", cfg, sched, seed=3)
+    images, labels, synthetic, provs = build_training_pool("gen_random", cfg, seed=3)
     assert images.shape == (40, 8, 8) and labels.shape == (40, 2)
     assert np.array_equal(synthetic, np.arange(40) >= 20) and len(provs) == 20
     assert all(label.sum() == 1.0 and (label == 1.0).sum() == 1 for label in labels[20:])
@@ -273,8 +272,7 @@ def test_gen_random_pool_size_counts():
 
 def test_noisecutmix_pool_has_soft_labels_and_distinct_pairs():
     cfg = tiny_config()
-    sched = make_cosine_schedule(cfg.schedule_steps)
-    _, labels, synthetic, provs = build_training_pool("noisecutmix", cfg, sched, seed=4)
+    _, labels, synthetic, provs = build_training_pool("noisecutmix", cfg, seed=4)
     assert len(provs) == 12
     for prov, label in zip(provs, labels[synthetic], strict=True):
         assert prov.class_a != prov.class_b
@@ -283,9 +281,8 @@ def test_noisecutmix_pool_has_soft_labels_and_distinct_pairs():
 
 def test_unknown_method_fails_fast():
     cfg = tiny_config()
-    sched = make_cosine_schedule(cfg.schedule_steps)
     with pytest.raises(ValueError, match="unknown method"):
-        build_training_pool("fancymix", cfg, sched, seed=0)
+        build_training_pool("fancymix", cfg, seed=0)
 
 
 def _test_set(cfg):
@@ -294,17 +291,15 @@ def _test_set(cfg):
 
 def test_method_determinism():
     cfg = tiny_config()
-    sched = make_cosine_schedule(cfg.schedule_steps)
-    acc1, _ = run_method("original", cfg, sched, 11, _test_set(cfg))
-    acc2, _ = run_method("original", cfg, sched, 11, _test_set(cfg))
+    acc1, *_ = run_method("original", cfg, 11, _test_set(cfg))
+    acc2, *_ = run_method("original", cfg, 11, _test_set(cfg))
     assert acc1 == acc2
 
 
 def test_zero_ratio_noisecutmix_equals_original():
     cfg = tiny_config(augment_ratio=0.0)
-    sched = make_cosine_schedule(cfg.schedule_steps)
-    acc_orig, _ = run_method("original", cfg, sched, 12, _test_set(cfg))
-    acc_ncm, (*_, provs) = run_method("noisecutmix", cfg, sched, 12, _test_set(cfg))
+    acc_orig, *_ = run_method("original", cfg, 12, _test_set(cfg))
+    acc_ncm, *_, provs = run_method("noisecutmix", cfg, 12, _test_set(cfg))
     assert provs == []
     assert acc_orig == acc_ncm
 
@@ -315,7 +310,7 @@ def test_ancestral_batch_records_regenerate_bit_exactly(method):
     cfg = tiny_config(sampler_kind="ancestral", num_classes=3)
     sched = make_cosine_schedule(cfg.schedule_steps)
     models, _ = cfg.dataset(0, 0)
-    images, labels, provs = generate_records(method, cfg, models, sched, 7, seed=9)
+    images, labels, provs = generate_records(method, cfg, 7, seed=9)
     assert images.shape == (7, 8, 8) and labels.shape == (7, 3)
     for image, label, prov in zip(images, labels, provs, strict=True):
         again_image, again_label = regenerate(prov, sched, models)
@@ -477,8 +472,7 @@ def test_montage_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         export_grid(np.empty((0, 4, 4)), [], tmp_path / "never.pgm")
     cfg = tiny_config()
-    images, _, provs = generate_records("gen_random", cfg, cfg.dataset(0, 0)[0],
-                                        make_cosine_schedule(cfg.schedule_steps), 2, seed=0)
+    images, _, provs = generate_records("gen_random", cfg, 2, seed=0)
     with pytest.raises(ValueError, match="one provenance per image"):
         export_grid(images, provs[:1], tmp_path / "never.pgm")
     assert not (tmp_path / "never.pgm").exists()

@@ -44,7 +44,7 @@ def log_units(monkeypatch, log: Path, fail=None, exc=None):
     starts; the unit fail raises exc, if given, and the units after it run slowly."""
     log.mkdir()
 
-    def logged(method, cfg, sched, seed, test_set):
+    def logged(method, cfg, seed, test_set):
         units = [(m, i) for m in cfg.methods for i in range(cfg.trials)]
         unit = next(u for u in units if harness.trial_seed(cfg.master_seed, *u) == seed)
         (log / f"{unit[0]}_t{unit[1]}.{os.getpid()}").touch()
@@ -52,7 +52,7 @@ def log_units(monkeypatch, log: Path, fail=None, exc=None):
             raise exc(f"unit {unit} failed")
         if fail is not None and units.index(unit) > units.index(fail):
             time.sleep(SLOW_UNIT_S)
-        return REAL_RUN_METHOD(method, cfg, sched, seed, test_set)
+        return REAL_RUN_METHOD(method, cfg, seed, test_set)
 
     monkeypatch.setattr(harness, "run_method", logged)
 
@@ -186,10 +186,10 @@ from noisecutmix import harness
 from noisecutmix.cli import main
 
 real = harness.run_method
-def slow(method, cfg, sched, seed, test_set):
+def slow(method, cfg, seed, test_set):
     open(os.path.join(sys.argv[1], f"start.{seed}.{os.getpid()}"), "w").close()
     time.sleep(%r)
-    result = real(method, cfg, sched, seed, test_set)
+    result = real(method, cfg, seed, test_set)
     open(os.path.join(sys.argv[1], f"end.{seed}.{os.getpid()}"), "w").close()
     return result
 

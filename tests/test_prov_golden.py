@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from noisecutmix import config_from_dict, make_cosine_schedule
+from noisecutmix import config_from_dict
 from noisecutmix.harness import generate_records
 from noisecutmix.recordio import write_provenance
 
@@ -28,8 +28,7 @@ COUNT, SEED = 12, 7
 
 def _prov_text(method, tmp_dir):
     cfg = config_from_dict(CONFIG)
-    models, _ = cfg.dataset(0, 0)
-    _, _, provs = generate_records(method, cfg, models, make_cosine_schedule(cfg.schedule_steps), COUNT, SEED)
+    _, _, provs = generate_records(method, cfg, COUNT, SEED)
     path = Path(tmp_dir) / f"{method}.prov"
     write_provenance(path, provs)
     return path.read_text(encoding="ascii")

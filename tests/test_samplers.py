@@ -146,6 +146,19 @@ def test_dpm_rejects_nonfinite_data_predictions(sched):
         step_dpm_pp_2m(x, x, nan, (6, 5, 3), sched)
 
 
+def test_dpm_rejects_a_nonfinite_state(sched):
+    # a NaN in x with finite data predictions used to return a NaN state without an error
+    x = np.zeros((3, 3))
+    x[1, 2] = np.nan
+    finite = np.ones((3, 3))
+    for prev, times in ((None, (None, 5, 3)), (finite, (6, 5, 3))):
+        out = np.empty((3, 3))
+        with pytest.raises(NumericalDivergence):
+            step_dpm_pp_2m(x, finite, prev, times, sched, out=out)
+        # out holds the result the error refers to
+        assert np.isnan(out[1, 2]) and np.isfinite(np.delete(out.ravel(), 5)).all()
+
+
 def test_terminal_steps_of_both_integrators_agree(sched):
     # with T-1 inference steps the final hop is 1 -> 0, where both the
     # posterior mean and the first-order solver reduce to the data estimate

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from noisecutmix import config_from_dict, make_cosine_schedule
+from noisecutmix import config_from_dict
 from noisecutmix.classifier import train
 from noisecutmix.config import METHODS
 from noisecutmix.harness import _TRAIN_SEED_STREAM, build_training_pool, derive_seed, trial_seed
@@ -32,7 +32,7 @@ def _trained(method):
     """Trial 0 of method at the default config, trained as run_method trains it."""
     cfg = config_from_dict({})
     seed = trial_seed(cfg.master_seed, method, 0)
-    images, labels, synthetic, _ = build_training_pool(method, cfg, make_cosine_schedule(cfg.schedule_steps), seed)
+    images, labels, synthetic, _ = build_training_pool(method, cfg, seed)
     train_cfg = cfg.train_config(derive_seed(seed, _TRAIN_SEED_STREAM))
     model, history = train(images, labels, train_cfg, cfg.augment_policy(METHODS[method][1]), synthetic)
     return {
