@@ -125,6 +125,32 @@ def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
     return ClassFamily(np.stack([m.mean for m in models]), np.stack([m.var for m in models]))
 
 
+def _check_class_ids(ids: np.ndarray, num_classes: int) -> None:
+    unknown = ids[(ids < 0) | (ids >= num_classes)]  # numpy would wrap -1
+    if unknown.size:
+        raise ValueError(f"unknown class id {unknown.flat[0]}")
+
+
+def spliced_family(models: ClassFamily | list[ClassModel], class_a, class_b, keep_a):
+    """(family, cond) for predict_noise: class_a's model where keep_a is set, class_b's elsewhere.
+
+    class_a and class_b are class ids or (N,) arrays of them, keep_a one
+    (H, W) or (N, H, W) bool mask. Scalar ids with one mask give one
+    class and cond 0; otherwise record i gets class i, cond arange(N).
+    The models are per cell, so the spliced estimate is, bit for bit,
+    class_a's where keep_a is set and class_b's elsewhere.
+    """
+    family = class_family(models)
+    ids_a, ids_b = np.asarray(class_a), np.asarray(class_b)
+    _check_class_ids(ids_a, len(family.means))
+    _check_class_ids(ids_b, len(family.means))
+    means = np.where(keep_a, family.means[ids_a], family.means[ids_b])
+    variances = np.where(keep_a, family.variances[ids_a], family.variances[ids_b])
+    if means.ndim == 2:
+        return ClassFamily(means[None], variances[None]), 0
+    return ClassFamily(means, variances), np.arange(len(means))
+
+
 def predict_noise(
     x_t: np.ndarray,
     cond: int | np.ndarray | None,
@@ -163,9 +189,7 @@ def predict_noise(
         if ids.ndim and ids.shape != x_t.shape[:-2]:
             # numpy would broadcast a 1-id array over every record
             raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
-        unknown = ids[(ids < 0) | (ids >= num_classes)]  # numpy would wrap -1
-        if unknown.size:
-            raise ValueError(f"unknown class id {unknown.flat[0]}")
+        _check_class_ids(ids, num_classes)
         # one row per record for an id array, one (H, W) grid for an int id
         eps = np.subtract(x_t, mu[ids], out=out)
         np.multiply(sqrt_1mab, eps, out=eps)

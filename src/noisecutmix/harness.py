@@ -279,16 +279,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
 
     Writes, under out_dir: the resolved config, the result table, per
     trial record batches with provenance sidecars for the generating
-    methods, and one montage per generating method. Fails on an
+    methods, and one montage per generating method, having first removed
+    those of an earlier run, for any method. Fails on an
     unwritable output directory before any compute. A large enough run
     computes its units on a forked process pool (_unit_results); the
     parent writes the same files in the same order either way.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # results.tsv is written last; one left by an earlier run would make
-    # an interrupted rerun look complete
+    # results.tsv is written last; one left by an earlier run would make an
+    # interrupted rerun look complete, and its other files would sit beside this run's
     (out / "results.tsv").unlink(missing_ok=True)
+    for m in METHODS:
+        for path in (*out.glob(f"{m}_t*.records"), *out.glob(f"{m}_t*.prov"), out / f"{m}_montage.pgm"):
+            path.unlink(missing_ok=True)
 
     dump_config(cfg, out / "config.json")
     _, test_set = cfg.dataset(derive_seed(cfg.master_seed, _TEST_DATA_STREAM), cfg.n_test_per_class)

@@ -3,8 +3,9 @@
 One core, run_reverse, integrates a batch over a leading record axis.
 A record follows one class condition (random generation) or two whose
 guided noise estimates are mixed through a fixed binary mask at every
-step (NoiseCutMix). generate_batch makes records and their provenance;
-regenerate and sample_*_batch are thin wrappers.
+step (NoiseCutMix), which is the guided estimate of one spliced class
+model (classmodels.spliced_family). generate_batch makes records and
+their provenance; regenerate and sample_*_batch are thin wrappers.
 
 Every record derives its randomness from an integer seed through two
 independent child streams, one for mask/ratio draws and one for the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classmodels import ClassFamily, ClassModel, class_family, predict_noise
+from .classmodels import ClassFamily, ClassModel, class_family, predict_noise, spliced_family
 from .errors import NumericalDivergence
 from .mixing import (
     mask_from_rect, mix_labels, one_hot, realized_lambda, sample_lambda, sample_mask,
@@ -270,31 +271,28 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     class_a and class_b are class ids or (N,) arrays of them. With class_b
     None this is class_a's guided estimate; otherwise each cell takes
     class_a's where keep_a ((H, W) or (N, H, W) bool) is set and class_b's
-    elsewhere. Both share one unconditional estimate per step, skipped at
-    guidance 1, where cfg_combine returns the conditional estimate.
+    elsewhere. Guidance is affine cell by cell, so that is the guided
+    estimate of the spliced model (classmodels.spliced_family), built
+    here once: each step makes one conditional estimate and, unless the
+    guidance is 1, one all-class mixture estimate and one cfg_combine.
 
-    x has the given shape. The unconditional and class_a estimates live
-    in arrays allocated here once; the returned estimate goes into out
-    if given (not x), else into a new array.
+    x has the given shape. The mixture estimate lives in an array
+    allocated here once; the returned estimate goes into out if given
+    (not x), else into a new array.
     """
     scale = cfg.guidance_scale
+    family = class_family(models)
+    cond_family, cond = (
+        (family, class_a) if class_b is None else spliced_family(family, class_a, class_b, keep_a)
+    )
     uncond_buf = None if scale == 1.0 else np.empty(shape)
-    a_buf = None if class_b is None else np.empty(shape)
 
     def eps_fn(x, t, out=None):
-        uncond = None if scale == 1.0 else predict_noise(x, None, t, sched, models, out=uncond_buf)
-
-        def guided(cond, buf):
-            eps = predict_noise(x, cond, t, sched, models, out=buf)
-            return eps if uncond is None else cfg_combine(eps, uncond, scale, out=eps)
-
-        if class_b is None:
-            return guided(class_a, out)
-        eps_a = guided(class_a, a_buf)
-        eps = guided(class_b, out)
-        # mask selection: each cell takes exactly one source value
-        np.copyto(eps, eps_a, where=keep_a)
-        return eps
+        eps = predict_noise(x, cond, t, sched, cond_family, out=out)
+        if scale == 1.0:
+            return eps
+        uncond = predict_noise(x, None, t, sched, family, out=uncond_buf)
+        return cfg_combine(eps, uncond, scale, out=eps)
 
     return eps_fn
 
@@ -328,20 +326,19 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     all rows would raise first.
 
     The ancestral path allocates its (n, H, W) working arrays once and
-    every step writes into them: x and the noise estimate, the
-    unconditional and class_a estimates when guiding or mixing, and
-    noise buffers. When x has at least _OVERLAP_MIN_VALUES values, one
-    worker thread scoped to this call does nothing but
-    rng.standard_normal: it fills the next steps' buffers, a ring of up
-    to _DRAW_AHEAD_BYTES, while this thread runs the current step's
-    prediction and update. The draws never depend on x, so they can run
-    ahead; they come in a serial loop's order, and each step runs the
-    same ufuncs in the same order, so the bits are a serial loop's, with
-    or without the worker. If a step raises, the worker finishes the
-    draws already queued and is joined before the error propagates.
-    Without the worker, each step's noise is drawn into one buffer just
-    before the step. A non-finite terminal batch raises
-    NumericalDivergence, as a non-finite step result does on the
+    every step writes into them: x and the noise estimate, the all-class
+    mixture estimate when guiding, and noise buffers. When x has at
+    least _OVERLAP_MIN_VALUES values, one worker thread scoped to this
+    call does nothing but rng.standard_normal: it fills the next steps'
+    buffers, a ring of up to _DRAW_AHEAD_BYTES, while this thread runs
+    the current step's prediction and update. The draws never depend on
+    x, so they can run ahead; they come in a serial loop's order, and
+    each step runs the same ufuncs in the same order, so the bits are a
+    serial loop's, with or without the worker. If a step raises, the
+    worker finishes the draws already queued and is joined before the
+    error propagates. Without the worker, each step's noise is drawn
+    into one buffer just before the step. A non-finite terminal batch
+    raises NumericalDivergence, as a non-finite step result does on the
     DPM-Solver++(2M) path.
     """
     family = class_family(models)

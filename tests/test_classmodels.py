@@ -10,7 +10,7 @@ from noisecutmix import (
     make_cosine_schedule,
     predict_noise,
 )
-from noisecutmix.classmodels import LOG_2PI, ClassFamily
+from noisecutmix.classmodels import LOG_2PI, ClassFamily, spliced_family
 
 # ---------------------------------------------------------------------------
 # independent oracle: closed-form log mixture density and its finite-difference
@@ -206,6 +206,34 @@ def test_class_family_predicts_like_its_model_list():
         for t in (1, 77, 200):
             assert np.array_equal(predict_noise(batch, cond, t, sched, family),
                                   predict_noise(batch, cond, t, sched, models))
+
+
+def test_spliced_family_predicts_each_cells_class():
+    sched = make_cosine_schedule(200)
+    models, _ = make_bump_dataset(3, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
+    rng = np.random.default_rng(10)
+    batch = rng.standard_normal((5, 6, 6))
+    class_a, class_b = np.array([2, 0, 1, 2, 0]), np.array([0, 0, 2, 1, 1])
+    for a, b, keep, classes in ((2, 0, rng.random((6, 6)) < 0.5, 1),
+                                (class_a, class_b, rng.random((6, 6)) < 0.5, 5),
+                                (1, 2, rng.random((5, 6, 6)) < 0.5, 5),
+                                (class_a, class_b, rng.random((5, 6, 6)) < 0.5, 5)):
+        family, cond = spliced_family(models, a, b, keep)
+        assert family.means.shape == family.variances.shape == (classes, 6, 6)
+        assert np.array_equal(cond, 0 if classes == 1 else np.arange(5))
+        for t in (1, 77, 200):
+            expected = np.where(keep, predict_noise(batch, a, t, sched, models),
+                                predict_noise(batch, b, t, sched, models))
+            assert np.array_equal(predict_noise(batch, cond, t, sched, family), expected)
+
+
+def test_spliced_family_rejects_unknown_class_ids():
+    models, _ = make_bump_dataset(3, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
+    keep = np.ones((6, 6), dtype=bool)
+    # -1 would otherwise splice in the last class
+    for a, b, bad in ((0, 3, 3), (-1, 0, -1), (np.array([0, -2]), np.array([1, 1]), -2)):
+        with pytest.raises(ValueError, match=f"^unknown class id {bad}$"):
+            spliced_family(models, a, b, keep)
 
 
 def test_class_family_rejects_bad_lists():

@@ -199,13 +199,16 @@ def test_report_rejects_non_finite_records(tmp_path, cfg_path, capsys):
 
 
 def test_report_renders_only_the_tables_methods(tmp_path, cfg_path, capsys):
-    # a gen_random_t0.records left by an earlier run in the same directory was re-rendered
-    out = tmp_path / "exp"
+    # a gen_random_t0.records beside a table without gen_random was re-rendered; an
+    # experiment removes an earlier run's artifacts, so they are moved in afterwards
+    first, out = tmp_path / "first", tmp_path / "exp"
     raw = json.loads(cfg_path.read_text())
-    for name, methods in (("first", ["gen_random"]), ("second", ["original"])):
-        path = tmp_path / f"{name}.json"
+    for run, methods in ((first, ["gen_random"]), (out, ["original"])):
+        path = tmp_path / f"{run.name}.json"
         path.write_text(json.dumps({**raw, "trials": 1, "methods": methods}))
-        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["experiment", "--config", str(path), "--out", str(run)]) == 0
+    for name in ("gen_random_t0.records", "gen_random_t0.prov", "gen_random_montage.pgm"):
+        (first / name).rename(out / name)
     stale = out / "gen_random_montage.pgm"
     stale_before = stale.read_bytes()
     capsys.readouterr()

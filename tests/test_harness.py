@@ -407,6 +407,16 @@ def test_interrupted_rerun_leaves_no_results_table(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
 
+def test_rerun_into_one_directory_leaves_only_its_own_artifacts(tmp_path):
+    out = tmp_path / "exp"
+    run_experiment(tiny_config(methods=["gen_random"], trials=1), out)
+    assert (out / "gen_random_t0.records").exists()
+    (out / "notes.txt").write_text("not an artifact")
+    run_experiment(tiny_config(methods=["original"], trials=1), out)
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "notes.txt", "results.tsv"]
+    assert (out / "notes.txt").read_text() == "not an artifact"
+
+
 def test_experiment_fails_fast_on_unwritable_dir(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a dir")

@@ -216,6 +216,41 @@ def test_mixed_noise_is_pure_selection(sched, bump_models):
         assert np.array_equal(mixed[~keep], eps_b[~keep])
 
 
+@pytest.mark.parametrize("guidance", [0.0, 1.0, 7.5])
+@pytest.mark.parametrize("per_record", [False, True], ids=["one (H, W) mask", "(N, H, W) masks"])
+def test_mixed_noise_selects_each_records_guided_estimates(sched, guidance, per_record):
+    # the paper's definition, literally: two guided estimates, selected by the mask
+    from noisecutmix import cfg_combine, predict_noise
+
+    models, _ = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=1, n_per_class=0)
+    n = 6
+    rng = np.random.default_rng(23)
+    if per_record:
+        class_a, class_b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=n)
+        keep = rng.random((n, 8, 8)) < 0.5
+    else:
+        class_a, class_b, keep = 2, 0, rng.random((8, 8)) < 0.5
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10, guidance_scale=guidance)
+    eps_fn = guided_eps_fn(class_a, class_b, keep, cfg, sched, models, (n, 8, 8))
+    for t in (1000, 512, 33, 1):
+        x = rng.standard_normal((n, 8, 8))
+        uncond = predict_noise(x, None, t, sched, models)
+        eps_a = cfg_combine(predict_noise(x, class_a, t, sched, models), uncond, guidance)
+        eps_b = cfg_combine(predict_noise(x, class_b, t, sched, models), uncond, guidance)
+        assert np.array_equal(eps_fn(x, t), np.where(keep, eps_a, eps_b))
+
+
+@pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
+@pytest.mark.parametrize("class_a, class_b, bad", [(0, 2, 2), (2, 0, 2), (0, -1, -1), (-1, 1, -1)])
+def test_noisecutmix_batch_rejects_unknown_class_ids(sched, bump_models, kind, class_a, class_b, bad):
+    # -1 must not index the last class
+    cfg = SamplerConfig(kind=kind, num_inference_steps=4, guidance_scale=7.5)
+    mask = np.zeros((8, 8), dtype=np.uint8)
+    mask[:, :4] = 1
+    with pytest.raises(ValueError, match=f"^unknown class id {bad}$"):
+        sample_noisecutmix_batch(class_a, class_b, mask, cfg, sched, bump_models, 3, 2)
+
+
 @pytest.mark.parametrize("kind", ["ancestral", "dpm_solver_pp_2m"])
 def test_noisecutmix_at_guidance_one_is_pixel_cutmix_of_single_records(sched, kind):
     # At guidance 1.0 the guided estimate is the conditional one, which acts cell by
@@ -481,6 +516,52 @@ def test_dpm_row_blocks_keep_the_one_block_bits(sched, bump_models, n, entry, gu
     # near-equal blocks of at most BLOCK_ROWS rows that cover the n rows
     assert len(block_rows) == -(-n // BLOCK_ROWS) and sum(block_rows) == n
     assert max(block_rows) - min(block_rows) <= 1 <= min(block_rows) <= max(block_rows) <= BLOCK_ROWS
+
+
+def _logged_results(monkeypatch, name):
+    """The result of each call to samplers.<name>, in call order."""
+    results, real = [], getattr(samplers, name)
+
+    def logged(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(samplers, name, logged)
+    return results
+
+
+@pytest.mark.parametrize("guidance, estimates, combines", [(7.5, 2, 1), (1.0, 1, 0)])
+@pytest.mark.parametrize("entry", ["int class", "id array", "2-D mask", "(N, H, W) masks"])
+def test_a_guided_step_makes_one_conditional_estimate(sched, bump_models, entry, guidance,
+                                                      estimates, combines, monkeypatch):
+    # single-class and mixed records alike: one conditional estimate per step, and
+    # the mixture estimate and one combine unless the guidance is 1
+    steps, n = 5, 2 * BLOCK_ROWS + 1
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=steps, guidance_scale=guidance)
+    block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, 1)
+    predicted = _logged_results(monkeypatch, "predict_noise")
+    combined = _logged_results(monkeypatch, "cfg_combine")
+    _dpm_entry(entry, n, cfg, sched, bump_models)
+    assert len(block_rows) == 3
+    assert len(predicted) == estimates * steps * len(block_rows)
+    assert len(combined) == combines * steps * len(block_rows)
+
+
+@pytest.mark.parametrize("entry", ["int class", "id array", "2-D mask", "(N, H, W) masks"])
+def test_the_spliced_family_is_built_once_per_block_from_its_rows(sched, bump_models, entry,
+                                                                  monkeypatch):
+    n = 2 * BLOCK_ROWS + 1
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=7.5)
+    block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, 2)
+    spliced = _logged_results(monkeypatch, "spliced_family")
+    _dpm_entry(entry, n, cfg, sched, bump_models)
+    classes = sorted(len(family.means) for family, _ in spliced)
+    if entry in ("int class", "id array"):
+        assert classes == []
+    elif entry == "2-D mask":  # one pair, one mask: one spliced class
+        assert classes == [1] * len(block_rows)
+    else:
+        assert classes == sorted(block_rows)
 
 
 def _plain_dpm(class_a, class_b, keep_a, cfg, sched, models, rng, n):
