@@ -168,7 +168,9 @@ def predict_noise(
     goes into out if given (not x_t).
     Each call builds its per-class constants once, stacked (K, H, W): the
     means scaled by sqrt(abar_t), the variances v_t and, for the mixture,
-    log v_t + log 2 pi. The mixture branch keeps its per-class terms in one
+    log v_t + log 2 pi. An id array that is arange(K) on a K-class family
+    (a per-record spliced one) reads those constants as they are, with
+    no gather. The mixture branch keeps its per-class terms in one
     array of x_t's shape that it allocates per call, and the K
     log-densities in one (K,) + batch-shape array.
     """
@@ -190,7 +192,10 @@ def predict_noise(
             # numpy would broadcast a 1-id array over every record
             raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
         _check_class_ids(ids, num_classes)
-        # one row per record for an id array, one (H, W) grid for an int id
+        # one row per record for an id array, one (H, W) grid for an int id; record i
+        # of a row-aligned family (a per-record spliced one) is class i, gathered by a view
+        if ids.ndim and len(ids) == num_classes and np.array_equal(ids, np.arange(num_classes)):
+            ids = slice(None)
         eps = np.subtract(x_t, mu[ids], out=out)
         np.multiply(sqrt_1mab, eps, out=eps)
         return np.divide(eps, v[ids], out=eps)

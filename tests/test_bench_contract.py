@@ -99,3 +99,23 @@ def test_every_harness_writer_takes_the_path_it_writes_first():
     for name in writers:
         first = next(iter(inspect.signature(getattr(harness, name)).parameters.values()))
         assert (first.name, first.kind) == ("path", first.POSITIONAL_OR_KEYWORD), name
+
+
+def test_sample_batchs_mixed_call_runs_several_dpm_row_blocks(tmp_path, monkeypatch):
+    # the workload's guided, masked call is the benchmark's only DPM-Solver++(2M) batch
+    # larger than one row block: it measures the block threads and their workspaces
+    samplers = PKG["samplers"]
+    calls = []
+
+    def recorded(class_a, class_b, keep_a, cfg, sched, models, rng, n):
+        grid = samplers.class_family(models).means.shape[1:]
+        calls.append((cfg.kind, n, grid))
+        return np.zeros((n,) + grid)
+
+    monkeypatch.setattr(samplers, "run_reverse", recorded)
+    workload = workloads.SampleBatch(PKG, 0, tmp_path)
+    workload.prepare()
+    workload.run(tmp_path / "out")
+    dpm = [(n, grid) for kind, n, grid in calls if kind == samplers.DPM_PP_2M]
+    assert len(calls) == 2 and len(dpm) == 1
+    assert samplers._row_blocks(*dpm[0]) > 1

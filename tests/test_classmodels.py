@@ -227,6 +227,18 @@ def test_spliced_family_predicts_each_cells_class():
             assert np.array_equal(predict_noise(batch, cond, t, sched, family), expected)
 
 
+def test_row_aligned_class_ids_predict_each_records_class():
+    # arange(K) on a K-class family reads the family's rows as they are; any other
+    # id array of that length still gathers
+    sched = make_cosine_schedule(200)
+    models, _ = make_bump_dataset(4, 6, 6, 1.2, 0.3, seed=6, n_per_class=0)
+    batch = np.random.default_rng(11).standard_normal((4, 6, 6))
+    for ids in (np.arange(4), np.array([1, 0, 2, 3]), np.array([3, 3, 0, 1])):
+        for t in (1, 77, 200):
+            expected = np.stack([predict_noise(x, int(c), t, sched, models) for x, c in zip(batch, ids)])
+            assert np.array_equal(predict_noise(batch, ids, t, sched, models), expected)
+
+
 def test_spliced_family_rejects_unknown_class_ids():
     models, _ = make_bump_dataset(3, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
     keep = np.ones((6, 6), dtype=bool)

@@ -564,6 +564,43 @@ def test_the_spliced_family_is_built_once_per_block_from_its_rows(sched, bump_mo
         assert classes == sorted(block_rows)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_dpm_blocks_reuse_one_workspace_per_thread(sched, bump_models, threads, monkeypatch):
+    # every block's estimate buffers come from one of at most `threads` workspaces; four
+    # threads with a short switch interval would interleave two blocks sharing one
+    n = 5 * BLOCK_ROWS + 3
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=7.5)
+    one_block = _dpm_entry("(N, H, W) masks", n, cfg, sched, bump_models)
+    block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, threads)
+    # each block's first estimate and mixture buffers, held so that no freed array is reused
+    firsts, works = [], []
+    real = samplers.guided_eps_fn
+
+    def logged(*args):
+        eps_fn, calls = real(*args), []
+
+        def logged_eps_fn(x, t, **kwargs):
+            if not calls:
+                firsts.append(kwargs["out"])
+            calls.append(t)
+            works.append(kwargs.get("work"))
+            return eps_fn(x, t, **kwargs)
+
+        return logged_eps_fn
+
+    monkeypatch.setattr(samplers, "guided_eps_fn", logged)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocked = _dpm_entry("(N, H, W) masks", n, cfg, sched, bump_models)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(blocked, one_block)
+    assert len(block_rows) == len(firsts) == 6 and len(works) == 5 * 6
+    assert 1 <= len({a.ctypes.data for a in firsts}) <= threads
+    assert 1 <= len({a.ctypes.data for a in works}) <= threads
+
+
 def _plain_dpm(class_a, class_b, keep_a, cfg, sched, models, rng, n):
     """run_reverse's DPM path as one plain step loop over all rows, allocating per call."""
     family = class_family(models)
