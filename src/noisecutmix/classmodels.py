@@ -151,6 +151,18 @@ def spliced_family(models: ClassFamily | list[ClassModel], class_a, class_b, kee
     return ClassFamily(means, variances), np.arange(len(means))
 
 
+def _scratch(arr: np.ndarray | None, like: np.ndarray, *taken) -> np.ndarray:
+    """arr as a float64 scratch array of like's shape, or a new one if arr is
+    None; ValueError if arr may share memory with one of the taken arrays."""
+    if arr is None:
+        return np.empty(np.shape(like))
+    if arr.shape != np.shape(like):
+        raise ValueError(f"scratch array of shape {arr.shape} for arrays of shape {np.shape(like)}")
+    if any(a is not None and np.may_share_memory(arr, a) for a in taken):
+        raise ValueError("scratch array may share memory with an input or the result")
+    return arr
+
+
 def predict_noise(
     x_t: np.ndarray,
     cond: int | np.ndarray | None,
@@ -158,6 +170,7 @@ def predict_noise(
     sched: Schedule,
     models: ClassFamily | list[ClassModel],
     out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal noise estimate for x_t under the given condition.
 
@@ -170,9 +183,10 @@ def predict_noise(
     means scaled by sqrt(abar_t), the variances v_t and, for the mixture,
     log v_t + log 2 pi. An id array that is arange(K) on a K-class family
     (a per-record spliced one) reads those constants as they are, with
-    no gather. The mixture branch keeps its per-class terms in one
-    array of x_t's shape that it allocates per call, and the K
-    log-densities in one (K,) + batch-shape array.
+    no gather. The mixture branch keeps its per-class terms in work if
+    given (an array of x_t's shape, not x_t or out; the conditional
+    branch leaves it untouched), else in one array it allocates per
+    call, and the K log-densities in one (K,) + batch-shape array.
     """
     family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -204,7 +218,7 @@ def predict_noise(
     # the trailing (H, W) axes, shape (K,) + batch shape
     log_norm = np.log(v)
     log_norm += LOG_2PI
-    work = np.empty_like(x_t)
+    work = _scratch(work, x_t, x_t, out)
     log_dens = np.empty((num_classes,) + x_t.shape[:-2])
     for c in range(num_classes):
         z = np.subtract(x_t, mu[c], out=work)

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classmodels import ClassFamily, ClassModel, class_family, predict_noise, spliced_family
+from .classmodels import (
+    ClassFamily, ClassModel, _scratch, class_family, predict_noise, spliced_family,
+)
 from .errors import NumericalDivergence
 from .mixing import (
     mask_from_rect, mix_labels, one_hot, realized_lambda, sample_lambda, sample_mask,
@@ -52,16 +54,23 @@ _TRAJ_STREAM = 1
 # over 100 steps took 109 ms against 103 ms.
 _OVERLAP_MIN_VALUES = 1 << 15
 # The worker may draw this many bytes of noise ahead of the step loop, in
-# a ring of at least two buffers. With two, the threads wait on each other
-# every step, and where the host gives the second core only part of the
-# time each wait costs a host reschedule. Under such contention the
-# 1000-step call at n=2000 (1 MiB per draw) took 4.0-4.2 s serially,
-# 4.0-5.3 s with two buffers and 3.2-3.4 s with eight.
-_DRAW_AHEAD_BYTES = 8 << 20
+# a ring of at least two buffers and never more than the call draws. With
+# two, the threads wait on each other every step, and where the host gives
+# the second core only part of the time each wait costs a host reschedule.
+# Under such contention the 1000-step call at n=2000 (1 MiB per draw) took
+# 4.0-4.2 s serially, 4.0-5.3 s with two buffers and 3.2-3.4 s with eight.
+# The ring sets the ancestral call's memory: in one process alternating
+# the sample_batch workload's ancestral and guided calls (2-vCPU x86_64
+# VM), rings of 3, 4, 5, 6 and 8 MiB peaked at 46.1, 46.2, 46.5, 47.3 and
+# 48.9 MB. At 4 MiB and below the guided call sets the peak; 5 MiB keeps
+# five draws ahead for 0.3 MB more.
+_DRAW_AHEAD_BYTES = 5 << 20
 # DPM-Solver++(2M) runs a batch in row blocks of at most this many array
-# values, each block through every step on its own working arrays, which
-# then stay in a core's L2 cache. The sample_batch workload's guided, masked
-# 2000x16x16 call on a 2-vCPU x86_64 VM (4 MiB L2 per core), medians of 9,
+# values, each block through every step on its own working arrays, sized to
+# a core's L2 cache: a 2^16-value block's arrays are 512 KiB each, and its
+# four (its rows of x and its thread's three workspace arrays) fill the
+# 2 MiB of L2 per core of a 2-vCPU x86_64 VM. The sample_batch workload's
+# guided, masked 2000x16x16 call on that VM, medians of 9,
 # one thread / two: 2^15 values 378 / 316 ms, 2^16 402 / 256 ms, 2^17
 # 430 / 270 ms, 2^18 500 / 296 ms, unblocked 522 ms. At 2^13 two threads
 # lost to one (795 against 536 ms): the per-step calls contend for the
@@ -147,6 +156,7 @@ def step_ancestral(
     sched: Schedule,
     noise: np.ndarray | None,
     out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """One DDPM posterior step from t_from to t_to (skip steps allowed).
 
@@ -155,8 +165,11 @@ def step_ancestral(
     The terminal step t_to = 0 takes noise None, because the posterior
     collapses onto the data estimate there. The step is a pure function
     of its arguments and writes none of them but out, which may be x_t
-    or eps_hat; the data estimate and then the scaled noise share one
-    array allocated per call.
+    or eps_hat, and tmp. The data estimate and then the scaled noise
+    share one array: tmp if given, which may be eps_hat (read first) but
+    not x_t, out or noise, else one allocated per call. With out and tmp
+    given, a step holds x_t, eps_hat, noise and those two, and allocates
+    nothing of x_t's size.
     """
     if not (t_from > t_to >= 0):
         raise ValueError(f"need t_from > t_to >= 0, got {t_from} -> {t_to}")
@@ -170,7 +183,7 @@ def step_ancestral(
         raise ValueError(f"noise of shape {np.shape(noise)} for a state of shape {np.shape(x_t)}")
     ab_t = float(sched.alpha_bar[t_from])
     ab_s = float(sched.alpha_bar[t_to])
-    x0 = tweedie_x0(x_t, eps_hat, t_from, sched)
+    x0 = tweedie_x0(x_t, eps_hat, t_from, sched, out=_scratch(tmp, x_t, x_t, out, noise))
     u = ab_t / ab_s
     coef_x0 = math.sqrt(ab_s) * (1.0 - u) / (1.0 - ab_t)
     coef_xt = math.sqrt(u) * (1.0 - ab_s) / (1.0 - ab_t)
@@ -191,6 +204,7 @@ def step_dpm_pp_2m(
     times: tuple[int | None, int, int],
     sched: Schedule,
     out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """DPM-Solver++(2M) update in the data-prediction parametrization.
 
@@ -206,7 +220,11 @@ def step_dpm_pp_2m(
     the update limit there is the current data prediction, which is
     returned directly (the standard lower-order terminal step). The
     result goes into out if given, which may be either data prediction
-    but not x; one more array is allocated per call.
+    but not x. A step before the terminal one needs one more array of
+    x's shape: tmp if given, which may share memory with none of x, out
+    and the data predictions, else one allocated per call. So with out
+    and tmp given, a step holds x, the data predictions, out and tmp,
+    and allocates nothing of x's size but its finiteness scan's bool mask.
 
     A non-finite result raises NumericalDivergence, after out is written.
     A strictly decreasing schedule gives every input a nonzero coefficient
@@ -228,14 +246,14 @@ def step_dpm_pp_2m(
         l_to = sched.log_snr_half(t_to)
         h = l_to - l_curr
         coef_d = sched.signal(t_to) * math.expm1(-h)
+        tmp = _scratch(tmp, x, x, out, datapred_curr, datapred_prev)
         if datapred_prev is None:
-            tmp = None
             d = np.multiply(coef_d, datapred_curr, out=out)
         else:
             h_prev = l_curr - sched.log_snr_half(t_prev)
             r = h_prev / h
             # datapred_prev is read before out, which may hold it, is written
-            tmp = np.multiply(1.0 / (2.0 * r), datapred_prev)
+            np.multiply(1.0 / (2.0 * r), datapred_prev, out=tmp)
             d = np.multiply(1.0 + 1.0 / (2.0 * r), datapred_curr, out=out)
             np.subtract(d, tmp, out=d)
             np.multiply(coef_d, d, out=d)
@@ -266,7 +284,7 @@ class _RecordStreams:
 
 
 def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, shape):
-    """eps_fn(x, t, out=None): the guided noise estimate of one class or of a masked pair.
+    """eps_fn(x, t, out=None, work=None): the guided noise estimate of one class or of a masked pair.
 
     class_a and class_b are class ids or (N,) arrays of them. With class_b
     None this is class_a's guided estimate; otherwise each cell takes
@@ -276,10 +294,17 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     here once: each step makes one conditional estimate and, unless the
     guidance is 1, one all-class mixture estimate and one cfg_combine.
 
-    x has the given shape. The mixture estimate goes into work if given
-    (an array of x's shape, not x or out), else into one array of that
-    shape that the first such call allocates; the returned estimate goes
-    into out if given (not x), else into a new array.
+    x has the given shape. The returned estimate goes into out if given
+    (not x), else into a new array. A guided step first computes the
+    mixture estimate into work if given (an array of x's shape, not x or
+    out), else into one array of that shape that the first such call
+    allocates, with out as the mixture's per-class term array; then the
+    conditional estimate into out, and the combine into out. The two
+    estimates read only x, so the order changes no bit. With out and
+    work given, a step holds x, out and work, and allocates nothing of
+    x's size unless the condition is per record (an id array, or masks
+    per record): predict_noise then builds that step's per-record means
+    and variances.
     """
     scale = cfg.guidance_scale
     family = class_family(models)
@@ -289,14 +314,14 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     own_work = []
 
     def eps_fn(x, t, out=None, work=None):
-        eps = predict_noise(x, cond, t, sched, cond_family, out=out)
         if scale == 1.0:
-            return eps
+            return predict_noise(x, cond, t, sched, cond_family, out=out)
         if work is None:
             if not own_work:
                 own_work.append(np.empty(shape))
             work = own_work[0]
-        uncond = predict_noise(x, None, t, sched, family, out=work)
+        uncond = predict_noise(x, None, t, sched, family, out=work, work=out)
+        eps = predict_noise(x, cond, t, sched, cond_family, out=out)
         return cfg_combine(eps, uncond, scale, out=eps)
 
     return eps_fn
@@ -314,45 +339,53 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     DPM-Solver++(2M) draws nothing after the initial noise, so each
     record's trajectory is then independent of the others'. It splits
     the rows into near-equal blocks of at most _BLOCK_VALUES array values
-    and runs each block through every step to t=0 on three arrays that
-    x, the noise estimate and the previous data prediction rotate
-    through (the data prediction overwrites the estimate, each later
-    update the previous prediction), plus the mixture estimate's array
-    when guiding; the block then writes its rows of x. The blocks run on
-    min(blocks, _block_threads or usable CPUs) threads scoped to the
-    call, as numpy's ufuncs release the interpreter lock, or on the
-    calling thread alone when that is one: a one-block call starts
-    nothing and imports nothing. Each thread's blocks reuse one
-    workspace, the block-sized estimate, free and mixture arrays, all
-    allocated on the calling thread before any block starts. glibc gives
-    each thread its own malloc arena and keeps what a thread frees there
-    after the call: with per-block arrays made on the block threads, the
-    peak RSS of the sample_batch workload's alternating ancestral and
-    guided 2000x16x16 calls rose from 49.8 to 53.7 MB by the second
-    ancestral call (49.5 MB under MALLOC_ARENA_MAX=1); with the
-    workspaces it stays at 50.7 MB. Every row sees the same ufuncs
-    in the same order whatever its block, elementwise and per-record
-    (H, W) reductions alone, so the bits do not depend on the blocking.
-    If blocks raise, the first block's error propagates once the running
+    and runs each block through every step to t=0 on its rows of x and
+    three workspace arrays; the block then writes its rows of x. x, the
+    noise estimate and the previous data prediction rotate through the
+    rows and the first two arrays (the data prediction overwrites the
+    estimate, each later update the previous prediction). The third
+    holds a guided step's mixture estimate until the combine has read
+    it, and then the update's temporary. So no step allocates an array
+    of the block's size: both its estimate and its update hold the
+    block's four arrays, and the call's peak is x plus one workspace per
+    thread. (The step's finiteness scan makes one bool array of the
+    block's shape, an eighth of its bytes; and with per-record class ids,
+    as generate_batch passes, predict_noise builds two arrays of
+    per-record constants per step.) The blocks run on min(blocks,
+    _block_threads or usable CPUs) threads scoped to the call, as numpy's
+    ufuncs release the interpreter lock, or on the calling thread alone
+    when that is one: a one-block call starts nothing and imports
+    nothing. Each thread's blocks reuse one workspace, allocated on the
+    calling thread before any block starts: glibc keeps what a thread
+    frees in that thread's malloc arena after the call, which raised the
+    sample_batch workload's peak RSS when the block threads made their
+    own arrays (see README). Every row sees the same ufuncs in the same
+    order whatever its block, elementwise and per-record (H, W)
+    reductions alone, so the bits do not depend on the blocking. If
+    blocks raise, the first block's error propagates once the running
     blocks end, and the blocks not started are cancelled; where several
     blocks fail differently, that can be another error than one block of
     all rows would raise first.
 
     The ancestral path allocates its (n, H, W) working arrays once and
     every step writes into them: x and the noise estimate, the all-class
-    mixture estimate when guiding, and noise buffers. When x has at
+    mixture estimate when guiding, and noise buffers, never more than
+    the call draws. A step's estimate holds x, the estimate, the
+    mixture estimate when guiding and the buffers; its update puts the
+    data estimate and then the scaled noise into the estimate's array,
+    read first, so no step allocates an array of x's size. When x has at
     least _OVERLAP_MIN_VALUES values, one worker thread scoped to this
     call does nothing but rng.standard_normal: it fills the next steps'
-    buffers, a ring of up to _DRAW_AHEAD_BYTES, while this thread runs
-    the current step's prediction and update. The draws never depend on
-    x, so they can run ahead; they come in a serial loop's order, and
-    each step runs the same ufuncs in the same order, so the bits are a
-    serial loop's, with or without the worker. If a step raises, the
-    worker finishes the draws already queued and is joined before the
-    error propagates. Without the worker, each step's noise is drawn
-    into one buffer just before the step. A non-finite terminal batch
-    raises NumericalDivergence, as a non-finite step result does on the
-    DPM-Solver++(2M) path.
+    buffers, a ring of at least two and up to _DRAW_AHEAD_BYTES, while
+    this thread runs the current step's prediction and update. The draws
+    never depend on x, so they can run ahead; they come in a serial
+    loop's order, and each step runs the same ufuncs in the same order,
+    so the bits are a serial loop's, with or without the worker. If a
+    step raises, the worker finishes the draws already queued and is
+    joined before the error propagates. Without the worker, each step's
+    noise is drawn into one buffer just before the step. A non-finite
+    terminal batch raises NumericalDivergence, as a non-finite step
+    result does on the DPM-Solver++(2M) path.
     """
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
@@ -371,8 +404,8 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
         eps = np.empty_like(x)
         draws = len(ts) - 2  # one per step but the terminal one
         overlap = x.size >= _OVERLAP_MIN_VALUES
-        depth = max(2, min(draws, _DRAW_AHEAD_BYTES // x.nbytes)) if overlap else 1
-        noise = [np.empty_like(x) for _ in range(depth)]
+        depth = max(2, _DRAW_AHEAD_BYTES // x.nbytes) if overlap else 1
+        noise = [np.empty_like(x) for _ in range(min(depth, draws))]  # one buffer per draw at most
         with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as worker:
             def draw(k):
                 """Step k's noise as a call: the worker's result, or the draw itself."""
@@ -387,7 +420,8 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
                 pending.append(draw(k + depth - 1))
                 step_noise = pending.popleft()()
                 eps_fn(x, int(ts[k]), out=eps)
-                step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, step_noise, out=x)
+                # the data estimate reads eps first, which then holds the step's temporaries
+                step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, step_noise, out=x, tmp=eps)
         # each step is affine in x, so a value that turned non-finite on the way stays so
         if not np.all(np.isfinite(x)):
             raise NumericalDivergence("ancestral trajectory ended non-finite")
@@ -406,7 +440,8 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
             pred = tweedie_x0(cur, eps, t_curr, sched, out=eps)
             dest = free if prev_pred is None else prev_pred
             times = (prev_t, t_curr, t_to)
-            cur, eps = step_dpm_pp_2m(cur, pred, prev_pred, times, sched, out=dest), cur
+            # work, the mixture estimate's array, is free once the combine has read it
+            cur, eps = step_dpm_pp_2m(cur, pred, prev_pred, times, sched, out=dest, tmp=work), cur
             prev_pred, prev_t = pred, t_curr
         x[lo:hi] = cur
 

@@ -10,9 +10,11 @@ zero; here it fails a test. The bench files are imported as they are.
 import importlib.util
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -119,3 +121,39 @@ def test_sample_batchs_mixed_call_runs_several_dpm_row_blocks(tmp_path, monkeypa
     dpm = [(n, grid) for kind, n, grid in calls if kind == samplers.DPM_PP_2M]
     assert len(calls) == 2 and len(dpm) == 1
     assert samplers._row_blocks(*dpm[0]) > 1
+
+
+class _StopDrawing(Exception):
+    pass
+
+
+def test_sample_batchs_ancestral_call_draws_ahead_into_a_bounded_ring(tmp_path, monkeypatch):
+    # the workload's 1000-step ancestral call is the benchmark's only run of the draw-ahead
+    # ring: its draws are large enough to go to the worker thread, into at least two and at
+    # most _DRAW_AHEAD_BYTES of buffers. The first 40 step draws cycle through a ring of up
+    # to 40 buffers; the 41st stops the call.
+    samplers = PKG["samplers"]
+    caller, draws = threading.get_ident(), []
+    real_child_rng = samplers.child_rng
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape, out=None):
+            if out is not None:
+                draws.append((threading.get_ident(), out.ctypes.data, out.nbytes))
+                if len(draws) > 40:
+                    raise _StopDrawing
+            return self.rng.standard_normal(shape, out=out)
+
+    monkeypatch.setattr(samplers, "child_rng", lambda *args: Recording(real_child_rng(*args)))
+    workload = workloads.SampleBatch(PKG, 0, tmp_path)
+    workload.prepare()
+    with pytest.raises(_StopDrawing):
+        workload.run(tmp_path / "out")
+    ring = {(data, nbytes) for _, data, nbytes in draws}
+    assert min(nbytes for _, nbytes in ring) // 8 >= samplers._OVERLAP_MIN_VALUES
+    assert len(draws) > 40 and caller not in {thread for thread, _, _ in draws}
+    assert len(ring) >= 2
+    assert sum(nbytes for _, nbytes in ring) <= samplers._DRAW_AHEAD_BYTES

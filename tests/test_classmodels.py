@@ -385,3 +385,20 @@ def test_predictor_matches_reference_bit_for_bit(num_classes, batch):
             assert predict_noise(x, cond, t, sched, family, out=out) is out
             _predict_noise_reference(x, cond, t, sched, family, out=ref_out)
             assert out.tobytes() == ref_out.tobytes() == want.tobytes()
+            # the mixture's per-class terms in a given array, which the conditional branch leaves as it is
+            out, work = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+            assert predict_noise(x, cond, t, sched, family, out=out, work=work) is out
+            assert out.tobytes() == want.tobytes()
+            assert np.isnan(work).all() == (cond is not None or num_classes == 1)
+
+
+def test_predictor_rejects_a_work_array_that_shares_memory():
+    sched = make_cosine_schedule(40)
+    models, _ = make_bump_dataset(2, 6, 6, 1.2, 0.3, seed=5, n_per_class=0)
+    x = np.random.default_rng(3).standard_normal((4, 6, 6))
+    out = np.empty_like(x)
+    for work in (x, x[:], out, out[::-1]):
+        with pytest.raises(ValueError, match="may share memory"):
+            predict_noise(x, None, 20, sched, models, out=out, work=work)
+    with pytest.raises(ValueError, match=r"scratch array of shape \(3, 6, 6\)"):
+        predict_noise(x, None, 20, sched, models, work=np.empty((3, 6, 6)))

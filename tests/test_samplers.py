@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,58 @@ def test_terminal_steps_of_both_integrators_agree(sched):
     anc = step_ancestral(x, eps_hat, t_last, t_end, sched, None)
     dpm = step_dpm_pp_2m(x, pred, None, (None, t_last, t_end), sched)
     assert np.max(np.abs(anc - dpm)) <= 1e-6
+
+
+@pytest.mark.parametrize("t_to", [480, 0])
+def test_ancestral_step_scratch_array_keeps_the_bits(sched, t_to):
+    rng = np.random.default_rng(6)
+    x, eps_hat = rng.standard_normal((2, 3, 6, 6))
+    noise = rng.standard_normal((3, 6, 6)) if t_to else None
+    want = step_ancestral(x, eps_hat, 500, t_to, sched, noise)
+    tmp = np.full(x.shape, np.nan)
+    assert step_ancestral(x, eps_hat, 500, t_to, sched, noise, tmp=tmp).tobytes() == want.tobytes()
+    # as the ancestral loop calls it: x's result into x, the temporaries into the estimate
+    x_out, eps_out = x.copy(), eps_hat.copy()
+    got = step_ancestral(x_out, eps_out, 500, t_to, sched, noise, out=x_out, tmp=eps_out)
+    assert got is x_out and x_out.tobytes() == want.tobytes()
+
+
+def test_ancestral_step_rejects_a_scratch_array_that_shares_memory(sched):
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((4, 6, 6))
+    x, shifted = base[:3], base[1:]  # two views that overlap
+    eps_hat, noise, out = rng.standard_normal((3, 3, 6, 6))
+    for tmp, kwargs in [(x, {}), (shifted, {}), (noise, {}), (out, {"out": out}),
+                        (eps_hat, {"out": eps_hat})]:
+        with pytest.raises(ValueError, match="may share memory"):
+            step_ancestral(x, eps_hat, 500, 480, sched, noise, tmp=tmp, **kwargs)
+
+
+@pytest.mark.parametrize("times", [(None, 500, 480), (520, 500, 480), (520, 500, 0)],
+                         ids=["first order", "second order", "terminal"])
+def test_dpm_step_scratch_array_keeps_the_bits(sched, times):
+    rng = np.random.default_rng(8)
+    x, curr, prev = rng.standard_normal((3, 3, 6, 6))
+    prev = None if times[0] is None else prev
+    want = step_dpm_pp_2m(x, curr, prev, times, sched)
+    tmp = np.full(x.shape, np.nan)
+    assert step_dpm_pp_2m(x, curr, prev, times, sched, tmp=tmp).tobytes() == want.tobytes()
+    # into the previous prediction, as run_reverse's rotation writes it
+    if prev is not None:
+        got = step_dpm_pp_2m(x, curr, prev.copy(), times, sched, out=prev, tmp=tmp)
+        assert got is prev and prev.tobytes() == want.tobytes()
+
+
+def test_dpm_step_rejects_a_scratch_array_that_shares_memory(sched):
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((4, 6, 6))
+    x, shifted = base[:3], base[1:]  # two views that overlap
+    curr, prev, out = rng.standard_normal((3, 3, 6, 6))
+    for tmp in (x, shifted, curr, prev, out[::-1]):
+        with pytest.raises(ValueError, match="may share memory"):
+            step_dpm_pp_2m(x, curr, prev, (520, 500, 480), sched, out=out, tmp=tmp)
+    with pytest.raises(ValueError, match=r"scratch array of shape \(6, 6\)"):
+        step_dpm_pp_2m(x, curr, None, (None, 500, 480), sched, tmp=np.empty((6, 6)))
 
 
 def test_generate_single_deterministic(sched, bump_models):
@@ -423,6 +476,37 @@ def test_ancestral_run_matches_serial_draw_loop(sched, bump_models, steps, strea
     assert _generator_states(rng) == _generator_states(ref_rng)
 
 
+def _traced_peak(call):
+    """Bytes above the start that call's allocations peak at, numpy's data buffers included."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("guidance", [1.0, 7.5])
+@pytest.mark.parametrize("steps", [1, 2, 3, 20])
+def test_ancestral_call_holds_x_eps_and_its_ring_only(sched, bump_models, steps, guidance):
+    # the ring holds one buffer per draw up to its cap, and no step allocates a
+    # batch-sized temporary: at its peak the call holds x, the estimate, the mixture
+    # estimate when guiding and the ring, within half a batch array
+    n = 2 * samplers._OVERLAP_MIN_VALUES // 64  # 8x8 records whose draws overlap
+    nbytes = n * 64 * 8
+    cfg = SamplerConfig(kind="ancestral", num_inference_steps=steps, guidance_scale=guidance)
+    ring = min(steps - 1, max(2, samplers._DRAW_AHEAD_BYTES // nbytes))
+    assert ring * nbytes <= samplers._DRAW_AHEAD_BYTES
+    working = (2 + (guidance != 1.0) + ring) * nbytes
+
+    def call():
+        run_reverse(0, None, None, cfg, sched, bump_models, child_rng(4, 1), n)
+
+    call()  # imports and first-call caches
+    assert working <= _traced_peak(call) <= working + nbytes // 2
+
+
 class _ThreadRecordingRng:
     """A generator that notes the thread of every draw."""
 
@@ -599,6 +683,27 @@ def test_dpm_blocks_reuse_one_workspace_per_thread(sched, bump_models, threads, 
     assert len(block_rows) == len(firsts) == 6 and len(works) == 5 * 6
     assert 1 <= len({a.ctypes.data for a in firsts}) <= threads
     assert 1 <= len({a.ctypes.data for a in works}) <= threads
+
+
+@pytest.mark.parametrize("guidance", [1.0, 7.5])
+@pytest.mark.parametrize("class_b", [None, 1], ids=["one class", "2-D mask"])
+def test_dpm_steps_allocate_no_block_sized_array(sched, bump_models, class_b, guidance, monkeypatch):
+    # three blocks on one thread: at its peak the call holds x and the one workspace of
+    # three block arrays, within half a block array, so no step allocates one
+    rows = 1024
+    n = 3 * rows
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=6, guidance_scale=guidance)
+    keep_a = None if class_b is None else np.arange(64).reshape(8, 8) % 3 == 0
+    block_rows = _force_blocks(monkeypatch, rows, 1)
+    block = rows * 64 * 8
+    working = 3 * block + 3 * block  # x, and the estimate, free and mixture arrays
+
+    def call():
+        run_reverse(0, class_b, keep_a, cfg, sched, bump_models, child_rng(6, 1), n)
+
+    call()  # imports and first-call caches
+    assert working <= _traced_peak(call) <= working + block // 2
+    assert block_rows == [rows] * 6
 
 
 def _plain_dpm(class_a, class_b, keep_a, cfg, sched, models, rng, n):
