@@ -187,7 +187,7 @@ def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -
             rows.append(np.full((1, row.shape[1]), sep))
         comments.append(
             f"rec {i}: method={p.method} class_a={p.class_a} class_b={p.class_b} "
-            f"lambda_real={p.lambda_real!r} seed={p.seed}"
+            f"lambda_real={float(p.lambda_real)!r} seed={p.seed}"
         )
     write_pgm(path, np.concatenate(rows, axis=0), comments)
 

@@ -70,7 +70,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite provenance value {value!r}")
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 

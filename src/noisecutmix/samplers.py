@@ -283,7 +283,7 @@ class _RecordStreams:
         return out
 
 
-def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, shape):
+def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models):
     """eps_fn(x, t, out=None, work=None): the guided noise estimate of one class or of a masked pair.
 
     class_a and class_b are class ids or (N,) arrays of them. With class_b
@@ -294,12 +294,11 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     here once: each step makes one conditional estimate and, unless the
     guidance is 1, one all-class mixture estimate and one cfg_combine.
 
-    x has the given shape. The returned estimate goes into out if given
-    (not x), else into a new array. A guided step first computes the
-    mixture estimate into work if given (an array of x's shape, not x or
-    out), else into one array of that shape that the first such call
-    allocates, with out as the mixture's per-class term array; then the
-    conditional estimate into out, and the combine into out. The two
+    The returned estimate goes into out if given (not x), else into a
+    new array. A guided step first computes the mixture estimate into
+    work if given (an array of x's shape, not x or out), else into one
+    array per call, with out as the mixture's per-class term array; then
+    the conditional estimate into out, and the combine into out. The two
     estimates read only x, so the order changes no bit. With out and
     work given, a step holds x, out and work, and allocates nothing of
     x's size unless the condition is per record (an id array, or masks
@@ -311,15 +310,10 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     cond_family, cond = (
         (family, class_a) if class_b is None else spliced_family(family, class_a, class_b, keep_a)
     )
-    own_work = []
 
     def eps_fn(x, t, out=None, work=None):
         if scale == 1.0:
             return predict_noise(x, cond, t, sched, cond_family, out=out)
-        if work is None:
-            if not own_work:
-                own_work.append(np.empty(shape))
-            work = own_work[0]
         uncond = predict_noise(x, None, t, sched, family, out=work, work=out)
         eps = predict_noise(x, cond, t, sched, cond_family, out=out)
         return cfg_combine(eps, uncond, scale, out=eps)
@@ -354,9 +348,10 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     per-record constants per step.) The blocks run on min(blocks,
     _block_threads or usable CPUs) threads scoped to the call, as numpy's
     ufuncs release the interpreter lock, or on the calling thread alone
-    when that is one: a one-block call starts nothing and imports
-    nothing. Each thread's blocks reuse one workspace, allocated on the
-    calling thread before any block starts: glibc keeps what a thread
+    when that is one, which starts nothing and imports nothing. There is
+    one workspace per thread, all allocated on the calling thread before
+    any block starts, and each block takes a free one from that list and
+    gives it back when it ends: glibc keeps what a thread
     frees in that thread's malloc arena after the call, which raised the
     sample_batch workload's peak RSS when the block threads made their
     own arrays (see README). Every row sees the same ufuncs in the same
@@ -400,8 +395,9 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
         # imported here, so importing the package and the DPM path pay nothing for it
         from concurrent.futures import ThreadPoolExecutor
 
-        eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
+        eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family)
         eps = np.empty_like(x)
+        work = np.empty_like(x) if cfg.guidance_scale != 1.0 else None  # the mixture estimate
         draws = len(ts) - 2  # one per step but the terminal one
         overlap = x.size >= _OVERLAP_MIN_VALUES
         depth = max(2, _DRAW_AHEAD_BYTES // x.nbytes) if overlap else 1
@@ -419,7 +415,7 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
             for k in range(len(ts) - 1):
                 pending.append(draw(k + depth - 1))
                 step_noise = pending.popleft()()
-                eps_fn(x, int(ts[k]), out=eps)
+                eps_fn(x, int(ts[k]), out=eps, work=work)
                 # the data estimate reads eps first, which then holds the step's temporaries
                 step_ancestral(x, eps, int(ts[k]), int(ts[k + 1]), sched, step_noise, out=x, tmp=eps)
         # each step is affine in x, so a value that turned non-finite on the way stays so
@@ -431,7 +427,7 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
         """Rows lo:hi of x through every step to t=0, on the first hi - lo rows of space."""
         rows = [a if a is None or np.shape(a) == shared else a[lo:hi] for a, shared in per_record]
         cur = x[lo:hi]
-        eps_fn = guided_eps_fn(*rows, cfg, sched, family, cur.shape)
+        eps_fn = guided_eps_fn(*rows, cfg, sched, family)
         eps, free, work = space[:, : hi - lo]
         prev_pred, prev_t = None, None
         for k in range(len(ts) - 1):
@@ -451,29 +447,25 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     # one workspace per thread, allocated here: what a block thread frees stays in its malloc
     # arena; the third array, the mixture estimate's, stays untouched without guidance
     spaces = [np.empty((3, -(-n // blocks)) + grid) for _ in range(threads)]
-    if threads < 2:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            run_block(lo, hi, spaces[0])
-        return x
-    # imported here, so importing the package and a one-block call pay nothing for them
-    import queue
-    from concurrent.futures import ThreadPoolExecutor
 
-    idle = queue.SimpleQueue()
-    for space in spaces:
-        idle.put(space)
-
-    def pooled_block(lo, hi):
-        """run_block on an idle workspace: a pool thread runs one block at a time, so one is idle."""
-        space = idle.get()
+    def block(lo, hi):
+        """run_block on a free workspace: a thread runs one block at a time, so one is free."""
+        space = spaces.pop()
         try:
             run_block(lo, hi, space)
         finally:
-            idle.put(space)
+            spaces.append(space)
+
+    if threads < 2:
+        for _ in map(block, bounds[:-1], bounds[1:]):
+            pass
+        return x
+    # imported here, so importing the package and a one-thread call pay nothing for it
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads) as pool:
         # in block order: the first failing block raises, and the blocks not started are cancelled
-        for _ in pool.map(pooled_block, bounds[:-1], bounds[1:]):
+        for _ in pool.map(block, bounds[:-1], bounds[1:]):
             pass
     return x
 

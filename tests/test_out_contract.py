@@ -26,6 +26,14 @@ N = 5
 SHAPE = (N, 8, 8)
 KEEP = np.random.default_rng(8).random(SHAPE) < 0.5
 GUIDED = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=25, guidance_scale=7.5)
+SINGLE = guided_eps_fn(1, None, None, GUIDED, SCHED, MODELS)
+MIXED = guided_eps_fn(np.array([0, 1, 2, 0, 1]), np.array([1, 2, 0, 2, 0]), KEEP, GUIDED, SCHED, MODELS)
+
+
+def _work(out):
+    """A caller's mixture array, holding NaN, beside out; none without out."""
+    return None if out is None else np.full(SHAPE, np.nan)
+
 
 # name: (call(inputs, out), number of inputs, index of the input run_reverse passes as out)
 CASES = {
@@ -60,16 +68,11 @@ CASES = {
     "record_streams": (
         lambda a, out: _RecordStreams([3, 9, 27, 81, 243]).standard_normal(SHAPE, out=out), 0, None,
     ),
-    "guided_eps_fn-single": (
-        lambda a, out: guided_eps_fn(1, None, None, GUIDED, SCHED, MODELS, SHAPE)(a[0], 600, out=out),
-        1, None,
-    ),
-    "guided_eps_fn-mixed": (
-        lambda a, out: guided_eps_fn(
-            np.array([0, 1, 2, 0, 1]), np.array([1, 2, 0, 2, 0]), KEEP, GUIDED, SCHED, MODELS, SHAPE
-        )(a[0], 600, out=out),
-        1, None,
-    ),
+    "guided_eps_fn-single": (lambda a, out: SINGLE(a[0], 600, out=out), 1, None),
+    "guided_eps_fn-mixed": (lambda a, out: MIXED(a[0], 600, out=out), 1, None),
+    # with out, the caller's work array too, against the fresh result without either
+    "guided_eps_fn-single-work": (lambda a, out: SINGLE(a[0], 600, out=out, work=_work(out)), 1, None),
+    "guided_eps_fn-mixed-work": (lambda a, out: MIXED(a[0], 600, out=out, work=_work(out)), 1, None),
 }
 
 

@@ -103,8 +103,15 @@ def test_pooled_workers_run_their_sampler_blocks_on_their_own_thread(tmp_path, m
     calls = itertools.count()
 
     def logged(*args):
-        (blocks / f"{os.getpid()}.{next(calls)}.{args[-1][0]}").touch()
-        return real(*args)
+        eps_fn, steps = real(*args), []
+
+        def logged_eps_fn(x, t, **kwargs):
+            if not steps:  # a block's first estimate
+                (blocks / f"{os.getpid()}.{next(calls)}.{len(x)}").touch()
+            steps.append(t)
+            return eps_fn(x, t, **kwargs)
+
+        return logged_eps_fn
 
     monkeypatch.setattr(samplers, "guided_eps_fn", logged)
     raw = {**TINY, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,20 @@ def test_provenance_round_trip(tmp_path, records):
     for p, again in zip(records[2], provs):
         for name, value in vars(p).items():
             assert type(getattr(again, name)) is type(value), name
+
+
+def test_provenance_round_trips_numpy_floats(tmp_path, records):
+    # numpy 2 writes repr(np.float64(0.5625)) as "np.float64(0.5625)", which no reader parses
+    p = records[2][2]
+    as_numpy = dataclasses.replace(
+        p, lambda_sampled=np.float64(p.lambda_sampled), lambda_real=np.float64(p.lambda_real),
+        rect=tuple(np.float64(v) for v in p.rect), guidance=np.float64(p.guidance),
+        alpha=np.float64(p.alpha),
+    )
+    write_provenance(tmp_path / "numpy.prov", [as_numpy])
+    write_provenance(tmp_path / "python.prov", [p])
+    assert (tmp_path / "numpy.prov").read_bytes() == (tmp_path / "python.prov").read_bytes()
+    assert read_provenance(tmp_path / "numpy.prov") == [p]
 
 
 def test_provenance_rejects_partly_given_rect(tmp_path, records):

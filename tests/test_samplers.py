@@ -255,7 +255,7 @@ def test_mixed_noise_is_pure_selection(sched, bump_models):
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10, guidance_scale=7.5)
     rng = np.random.default_rng(11)
     mask = (rng.random((8, 8)) < 0.5).astype(np.uint8)
-    eps_fn = guided_eps_fn(0, 1, mask.astype(bool), cfg, sched, bump_models, (8, 8))
+    eps_fn = guided_eps_fn(0, 1, mask.astype(bool), cfg, sched, bump_models)
     from noisecutmix import cfg_combine, predict_noise
 
     for t in (1000, 512, 33):
@@ -284,7 +284,7 @@ def test_mixed_noise_selects_each_records_guided_estimates(sched, guidance, per_
     else:
         class_a, class_b, keep = 2, 0, rng.random((8, 8)) < 0.5
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=10, guidance_scale=guidance)
-    eps_fn = guided_eps_fn(class_a, class_b, keep, cfg, sched, models, (n, 8, 8))
+    eps_fn = guided_eps_fn(class_a, class_b, keep, cfg, sched, models)
     for t in (1000, 512, 33, 1):
         x = rng.standard_normal((n, 8, 8))
         uncond = predict_noise(x, None, t, sched, models)
@@ -444,7 +444,7 @@ def _serial_ancestral(cond, cfg, sched, models, rng, n):
     """run_reverse's ancestral path as a plain loop: draw the step's noise, then step."""
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
-    eps_fn = guided_eps_fn(cond, None, None, cfg, sched, family, x.shape)
+    eps_fn = guided_eps_fn(cond, None, None, cfg, sched, family)
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps).tolist()
     for t_from, t_to in zip(ts[:-1], ts[1:]):
         noise = rng.standard_normal(x.shape) if t_to > 0 else None
@@ -556,15 +556,23 @@ BLOCK_ROWS = 4
 
 
 def _force_blocks(monkeypatch, rows, threads):
-    """DPM blocks of rows records of 8x8 on threads threads; logs each block's row count."""
+    """DPM blocks of rows records of 8x8 on threads threads; logs each block's row count,
+    the length of its first estimate's x."""
     monkeypatch.setattr(samplers, "_BLOCK_VALUES", rows * 64)
     monkeypatch.setattr(samplers, "_block_threads", threads)
     block_rows = []
     real = samplers.guided_eps_fn
 
-    def logged(class_a, class_b, keep_a, cfg, sched, models, shape):
-        block_rows.append(shape[0])
-        return real(class_a, class_b, keep_a, cfg, sched, models, shape)
+    def logged(*args):
+        eps_fn, steps = real(*args), []
+
+        def logged_eps_fn(x, t, **kwargs):
+            if not steps:
+                block_rows.append(len(x))
+            steps.append(t)
+            return eps_fn(x, t, **kwargs)
+
+        return logged_eps_fn
 
     monkeypatch.setattr(samplers, "guided_eps_fn", logged)
     return block_rows
@@ -710,7 +718,7 @@ def _plain_dpm(class_a, class_b, keep_a, cfg, sched, models, rng, n):
     """run_reverse's DPM path as one plain step loop over all rows, allocating per call."""
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
-    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family, x.shape)
+    eps_fn = guided_eps_fn(class_a, class_b, keep_a, cfg, sched, family)
     ts = timestep_grid(sched.num_steps, cfg.num_inference_steps).tolist()
     prev_pred, prev_t = None, None
     for t_curr, t_to in zip(ts[:-1], ts[1:]):
