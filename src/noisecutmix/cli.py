@@ -42,8 +42,6 @@ def _load_cfg(path: str | None) -> ExperimentConfig:
 
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args.config)
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
     seed = cfg.master_seed if args.seed is None else args.seed
     images, labels, provs = generate_records(args.method, cfg, args.count, seed)
     write_records(f"{args.out}.records", images, labels)

@@ -494,8 +494,11 @@ def generate_batch(
     mask stream (a Beta(alpha, alpha) ratio, then sample_mask's
     rectangle, mixing.NO_CUT for a ratio of exactly 1.0) and held fixed
     across all steps; its soft label uses the realized (post-clipping)
-    area ratio. Each provenance regenerates its record.
+    area ratio. Each provenance regenerates its record. An empty batch
+    raises ValueError before any draw.
     """
+    if len(seeds) == 0:
+        raise ValueError("a batch needs at least one record, one per seed; got no seeds")
     family = class_family(models)
     k, h, w = family.means.shape
     settings = dict(sampler=cfg.kind, steps=cfg.num_inference_steps,

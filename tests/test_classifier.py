@@ -386,17 +386,16 @@ def test_evaluate_rejects_class_ids_that_do_not_pair_with_images():
     assert type(evaluate(model, images, np.zeros(6, dtype=int))) is float
 
 
-@pytest.fixture
-def blas_threads():
-    """OpenBLAS's thread-count getter; the count is 2 during the test and restored after."""
-    blas = classifier._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy loaded no OpenBLAS")
-    get, set_ = blas
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+def test_an_openblas_build_exposes_its_thread_count():
+    # without the getter and setter, the one-thread policy does nothing and the
+    # tests that read the count skip, so a symbol rename must fail here
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        pytest.skip("numpy reports no BLAS build")
+    if "openblas" not in name.lower():
+        pytest.skip(f"numpy was built with {name}, not OpenBLAS")
+    assert classifier._openblas_threads() is not None, name
 
 
 def test_train_and_evaluate_run_on_one_blas_thread(blas_threads, monkeypatch):
@@ -438,3 +437,22 @@ def test_train_without_openblas_is_unchanged(monkeypatch):
     monkeypatch.setattr(classifier, "_openblas_threads", lambda: None)
     m2, h2 = train(*data, cfg)
     assert np.array_equal(m1.params, m2.params) and h1 == h2
+
+
+def test_one_blas_thread_calls_no_setter_at_a_count_of_one(monkeypatch):
+    # a forked worker's OpenBLAS stopped its threads at the fork, and any setter
+    # call, even to 1, would start them again to spin beside the unit
+    count, calls = [1], []
+
+    def set_(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(classifier, "_openblas_threads", lambda: (lambda: count[0], set_))
+    images, labels = _separable_dataset()
+    model, _ = train(images, labels, TrainConfig(batch_size=8, epochs=1, hidden=4))
+    evaluate(model, images, np.argmax(labels, axis=1))
+    assert calls == [] and count == [1]
+    count[0] = 2
+    evaluate(model, images, np.argmax(labels, axis=1))
+    assert calls == [1, 2]

@@ -21,7 +21,7 @@ from noisecutmix import (
     run_experiment,
     run_method,
 )
-from noisecutmix import cli, harness
+from noisecutmix import cli, harness, samplers
 from noisecutmix.augment import POLICY_KINDS
 from noisecutmix.config import METHODS, OUTPUT_DIR_ENV
 from noisecutmix.harness import (
@@ -316,6 +316,19 @@ def test_ancestral_batch_records_regenerate_bit_exactly(method):
         again_image, again_label = regenerate(prov, sched, models)
         assert np.array_equal(again_image, image)
         assert np.array_equal(again_label, label)
+
+
+@pytest.mark.parametrize("method", ["gen_random", "noisecutmix"])
+def test_an_empty_batch_is_rejected_before_any_draw(method, monkeypatch):
+    # np.stack of no labels, or the unpacking of no masks, used to fail instead
+    def drew(*args, **kwargs):
+        raise AssertionError("an empty batch drew")
+
+    monkeypatch.setattr(samplers, "child_rng", drew)
+    monkeypatch.setattr(samplers, "run_reverse", drew)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one record"):
+            generate_records(method, tiny_config(), count, seed=9)
 
 
 def test_trial_seeds_differ_by_method_and_index():

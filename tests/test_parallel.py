@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from noisecutmix import ExperimentConfig, NumericalDivergence, harness, samplers
+from noisecutmix import ExperimentConfig, NumericalDivergence, classifier, harness, samplers
 from noisecutmix.cli import main
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
@@ -133,6 +133,52 @@ def test_pooled_workers_run_their_sampler_blocks_on_their_own_thread(tmp_path, m
     assert len(pooled_blocks) == 12 and {rows for _, _, rows in pooled_blocks} == {"4"}
     assert str(os.getpid()) not in {pid for pid, _, _ in pooled_blocks}
     assert samplers._block_threads == 2  # only the workers set their own
+
+
+def test_pooled_workers_inherit_one_blas_thread_and_start_none(tmp_path, monkeypatch, blas_threads):
+    # OpenBLAS stops its threads at a fork, and a worker that set its count, even
+    # to 1, started one again, to spin beside the units: 2 threads per worker
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count a worker's threads")
+    log = tmp_path / "threads"
+    log.mkdir()
+
+    def counted(method, cfg, seed, test_set):
+        result = REAL_RUN_METHOD(method, cfg, seed, test_set)
+        (log / f"{seed}.{len(os.listdir('/proc/self/task'))}").touch()
+        return result
+
+    monkeypatch.setattr(harness, "run_method", counted)
+    raw = {**TINY, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}
+    code, _, _ = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == 0
+    assert sorted(p.suffix for p in log.iterdir()) == [".1"] * 6
+
+
+def test_a_pooled_run_leaves_the_caller_on_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    raw = {**TINY, "methods": ["original", "gen_random"], "trials": 2}
+    code, _, _ = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == 0
+    # set before the fork and left there: a restore would restart the threads here
+    assert blas_threads() == 1
+
+
+def test_a_serial_run_leaves_the_blas_thread_count_as_it_found_it(tmp_path, monkeypatch, blas_threads):
+    raw = {**TINY, "methods": ["original", "gen_random"]}
+    code, _, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == 0
+    assert blas_threads() == 2
+
+
+def test_a_pooled_run_without_openblas_writes_the_serial_runs_bytes(tmp_path, monkeypatch):
+    raw = {**TINY, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}
+    code, serial, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == 0
+    # reaches the workers through fork, like a numpy whose BLAS is not OpenBLAS
+    monkeypatch.setattr(classifier, "_openblas_threads", lambda: None)
+    code, pooled, _ = experiment(tmp_path, monkeypatch, "pooled", raw, pooled=True)
+    assert code == 0
+    assert files(pooled) == files(serial)
 
 
 @pytest.mark.parametrize("where, exc, expected", [
