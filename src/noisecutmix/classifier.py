@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,29 +46,15 @@ def _openblas_threads():
                     ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib)))
 
 
-def _set_one_blas_thread() -> int:
-    """Put the process on one OpenBLAS thread and return the count before (1
-    without OpenBLAS). A count of 1 already calls nothing: in a forked child,
-    whose OpenBLAS stopped its threads at the fork, any setter call starts them
-    again, and the new thread spins before it sleeps (0.09-0.13 s of CPU in a
-    forked child on a 2-vCPU x86_64 VM)."""
+def _one_blas_thread() -> None:
+    """Put the process on one OpenBLAS thread and leave it there: a second thread
+    only spins on products this small, saving no wall time. A count of 1 already
+    calls nothing: in a forked child, whose OpenBLAS stopped its threads at the
+    fork, any setter call starts them again, and the new thread spins before it
+    sleeps (0.09-0.13 s of CPU in a forked child on a 2-vCPU x86_64 VM)."""
     blas = _openblas_threads()
-    before = blas[0]() if blas else 1
-    if before != 1:
+    if blas and blas[0]() != 1:
         blas[1](1)
-    return before
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread and restore the process-wide count
-    after; a second thread only spins on products this small, saving no wall time."""
-    before = _set_one_blas_thread()
-    try:
-        yield
-    finally:
-        if before != 1:
-            _openblas_threads()[1](before)
 
 
 @dataclass
@@ -220,11 +205,11 @@ def validation_split(
     return np.flatnonzero(~in_val), val_idx
 
 
-@_one_blas_thread()
 def evaluate(model: MlpClassifier, images: np.ndarray, class_ids: np.ndarray) -> float:
     """Top-1 accuracy against class ids, one per image; argmax ties break
     toward the lowest class index. Non-finite images and class ids of any
     shape but (len(images),) raise ValueError."""
+    _one_blas_thread()
     n = len(images)
     if n == 0:
         raise ValueError("testset must not be empty")
@@ -249,7 +234,6 @@ class EpochStats:
     val_accuracy: float
 
 
-@_one_blas_thread()
 def train(
     images: np.ndarray,
     labels: np.ndarray,
@@ -267,6 +251,7 @@ def train(
     resolve to the earlier epoch) and the per-epoch history. Non-finite
     images and labels off the probability simplex raise ValueError.
     """
+    _one_blas_thread()
     if policy is None:
         policy = AugmentPolicy(kind="none")
     n = len(images)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import _set_one_blas_thread, evaluate, train
+from .classifier import _one_blas_thread, evaluate, train
 from .config import METHODS, ExperimentConfig, dump_config
 from .mixing import NO_CUT, mask_from_rect
 from .recordio import open_atomic, write_pgm, write_provenance, write_records
@@ -261,10 +261,9 @@ def _unit_results(inputs: tuple, units: list[tuple[str, int]]):
     # Python thread runs now (the sampler's threads live inside run_reverse calls),
     # and OpenBLAS stops its own threads around a fork (pthread_atfork); the next
     # thread-count setter call in a worker would start them again, to spin. So the
-    # process goes on one OpenBLAS thread here and stays there: the workers inherit
-    # the count and call no setter, and a restore after the fork would restart the
-    # threads here in the same way.
-    _set_one_blas_thread()
+    # count goes to 1 before the fork, as train and evaluate would leave it: the
+    # workers inherit it and call no setter.
+    _one_blas_thread()
     context = multiprocessing.get_context("fork")
     stop = context.Event()
     pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,

@@ -138,9 +138,9 @@ def _finite(value: str) -> float:
 
 
 def read_provenance(path: str | Path) -> list[Provenance]:
-    """The provenance of each record line; a rect is given in full or not at
-    all. A line that write_provenance could not have written, a NaN or
-    infinite float included, raises ValueError naming the line."""
+    """The provenance of each record line, whose idx is its position; a rect is
+    given in full or not at all. A line that write_provenance could not have
+    written, a NaN or infinite float included, raises ValueError naming it."""
     out = []
     for line in Path(path).read_text(encoding="ascii").splitlines():
         if not line or line.startswith("#"):
@@ -149,6 +149,9 @@ def read_provenance(path: str | Path) -> list[Provenance]:
         try:
             if len(v) != len(_PROV_COLUMNS):
                 raise ValueError(f"{len(v)} fields, need {len(_PROV_COLUMNS)}")
+            # report pairs each record with the provenance at its position
+            if v[0] != str(len(out)):
+                raise ValueError(f"idx {v[0]!r} on the line of record {len(out)}")
             rect = tuple(_parse(x, _finite) for x in v[6:10])
             if 0 < rect.count(None) < 4:
                 raise ValueError("partly given rect")

@@ -252,6 +252,9 @@ def test_validation_split_excludes_synthetic():
         train_idx, val_idx = validation_split(synthetic, 0.2, child_rng(int(rng.integers(1e6)), 0))
         assert not synthetic[val_idx].any()
         assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(n))
+    # one real sample would go to validation and leave training none
+    with pytest.raises(ValueError, match="at least 2 real samples"):
+        validation_split(np.arange(6) > 0, 0.2, child_rng(0, 0))
 
 
 def test_train_names_the_classes_the_split_empties_as_setdiff1d_does():
@@ -291,6 +294,10 @@ def test_train_rejects_bad_datasets():
         train(images, labels, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train(np.zeros((12, 2, 2)), np.tile(one_hot(0, 2), (12, 1)), TrainConfig(epochs=1))
+    images, labels = _separable_dataset()
+    for bad_labels, synthetic in ((labels[:-1], None), (labels, np.zeros(len(labels) - 1, bool))):
+        with pytest.raises(ValueError, match="must match the number of images"):
+            train(images, bad_labels, TrainConfig(epochs=1), synthetic=synthetic)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "sum_above", "sum_below"])
@@ -410,24 +417,15 @@ def test_train_and_evaluate_run_on_one_blas_thread(blas_threads, monkeypatch):
     images, labels = _separable_dataset()
     model, _ = train(images, labels, TrainConfig(batch_size=8, epochs=2, hidden=4))
     assert seen and set(seen) == {1}
-    assert blas_threads() == 2
+    # left there: the next call, or a forked worker, calls no setter
+    assert blas_threads() == 1
 
     seen.clear()
+    classifier._openblas_threads()[1](2)
     model.logits = lambda x: (seen.append(blas_threads()), MlpClassifier.logits(model, x))[1]
     evaluate(model, images, np.argmax(labels, axis=1))
     assert seen == [1]
-    assert blas_threads() == 2
-
-
-def test_blas_thread_count_restored_when_train_raises(blas_threads):
-    images, labels = _separable_dataset()
-    labels[3] = [0.5, 0.6]
-    with pytest.raises(ValueError, match="labels must be"):
-        train(images, labels, TrainConfig(epochs=1))
-    assert blas_threads() == 2
-    with pytest.raises(ValueError, match="testset must not be empty"):
-        evaluate(init_classifier(4, 5, 3, seed=2), np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
-    assert blas_threads() == 2
+    assert blas_threads() == 1
 
 
 def test_train_without_openblas_is_unchanged(monkeypatch):
@@ -455,4 +453,5 @@ def test_one_blas_thread_calls_no_setter_at_a_count_of_one(monkeypatch):
     assert calls == [] and count == [1]
     count[0] = 2
     evaluate(model, images, np.argmax(labels, axis=1))
-    assert calls == [1, 2]
+    train(images, labels, TrainConfig(batch_size=8, epochs=1, hidden=4))
+    assert calls == [1] and count == [1]

@@ -74,6 +74,12 @@ def test_bump_dataset_rejects_too_many_classes():
         make_bump_dataset(17, 8, 8, 1.0, 0.25, seed=0, n_per_class=0)
 
 
+def test_bump_dataset_rejects_a_negative_sample_count():
+    # numpy's own "negative dimensions" error would not name the argument
+    with pytest.raises(ValueError, match="n_per_class must be >= 0"):
+        make_bump_dataset(2, 8, 8, 1.5, 0.25, seed=0, n_per_class=-1)
+
+
 def test_bump_dataset_reproducible():
     _, (images1, ids1) = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
     _, (images2, ids2) = make_bump_dataset(3, 8, 8, 1.5, 0.25, seed=5, n_per_class=4)
@@ -299,6 +305,8 @@ def test_class_model_validation():
         ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ClassModel(class_id=0, mean=np.full((2, 2), np.nan), var=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="same shape"):
+        ClassModel(class_id=0, mean=np.zeros((2, 2)), var=np.ones((2, 3)))
     # a NaN variance used to pass the floor check, an inf one to zero every estimate
     for bad in (math.nan, math.inf):
         var = np.ones((2, 2))

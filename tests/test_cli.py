@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,24 @@ def test_generate_subcommand(tmp_path, cfg_path, capsys):
     assert len(read_provenance(f"{out}.prov")) == 5
     pixels, _ = read_pgm(f"{out}.pgm")
     assert pixels.shape[1] == 17
+
+
+def test_a_shell_sees_the_exit_codes(tmp_path, cfg_path):
+    # main() returns the code; only the module's sys.exit(main()) hands it to the shell
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"trials": 1, "trails": 2}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for args, code in [
+        (["generate", "--config", str(cfg_path), "--method", "gen_random", "--count", "1",
+          "--out", str(tmp_path / "one")], 0),
+        (["experiment", "--config", str(bad), "--out", str(tmp_path / "never")], 2),
+        (["generate", "--count", "1"], 2),  # argparse: --method and --out missing
+        (["report", "--dir", str(tmp_path / "missing")], 3),
+    ]:
+        run = subprocess.run([sys.executable, "-m", "noisecutmix.cli", *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, (args, run.stderr)
+    assert (tmp_path / "one.records").exists() and not (tmp_path / "never").exists()
 
 
 def test_generate_rejects_pixel_methods(cfg_path, tmp_path):
@@ -267,6 +288,8 @@ def test_bad_config_exits_before_writing(tmp_path):
         {"mixup_alpha": -0.2, "methods": ["original"], "trials": 1},
         {"methods": {"original": 1}, "trials": 1},
         {"methods": "original"},
+        # sample_lambda rejects it too, but only once the run has written config.json
+        {"noisemix_alpha": 0.0, "methods": ["noisecutmix"], "trials": 1},
         # make_cosine_schedule and timestep_grid own these rules; the config calls both
         {"schedule_steps": 1},
         {"schedule_steps": 10**19},

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,12 @@ def test_config_rejects_bad_values():
         {"methods": {"original": 1}, "trials": 1},
         {"methods": "original"},
         {"methods": ("original",)},
+        {"methods": []},
+        {"epochs": -1},
+        {"master_seed": -1},
+        {"noisemix_alpha": 0.0},
+        # a JSON document that is not an object
+        [],
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -331,6 +338,13 @@ def test_an_empty_batch_is_rejected_before_any_draw(method, monkeypatch):
             generate_records(method, tiny_config(), count, seed=9)
 
 
+def test_only_a_generating_method_generates_records():
+    # without the check, a method with no generator ran the mixing generator
+    for method in ("original", "cutmix", "mixup", "fancymix"):
+        with pytest.raises(ValueError, match=f"method {method!r} does not generate records"):
+            generate_records(method, tiny_config(), 2, seed=9)
+
+
 def test_trial_seeds_differ_by_method_and_index():
     seeds = {trial_seed(0, m, i) for m in METHODS for i in range(3)}
     assert len(seeds) == len(METHODS) * 3
@@ -489,6 +503,20 @@ def test_montage_layout_arithmetic(tmp_path):
         tile = pixels[i * (h + 1) : i * (h + 1) + h, w + 1 :]
         assert set(np.unique(tile)) <= {0, 255}
         assert np.array_equal(tile == 255, mask_from_rect(w, h, prov.rect).astype(bool))
+
+
+def test_montage_maps_constant_images_to_black_tiles(tmp_path):
+    # a zero span has no affine map onto 0..255; dividing by it would warn and cast NaN
+    cfg = tiny_config()
+    _, _, provs = generate_records("noisecutmix", cfg, 2, seed=0)
+    path = tmp_path / "flat.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        export_grid(np.full((2, 8, 8), 0.75), provs, path)
+    pixels, comments = read_pgm(path)
+    assert comments[0] == "image map: lo=0.75 hi=0.75 -> 0..255"
+    for i in range(2):
+        assert not pixels[i * 9 : i * 9 + 8, :8].any()
 
 
 def test_montage_rejects_empty(tmp_path):

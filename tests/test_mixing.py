@@ -54,6 +54,13 @@ def test_lambda_variance_matches_beta_formula():
     assert abs(draws.var() - expected) <= 0.05 * expected
 
 
+def test_lambda_at_a_vanishing_alpha_is_a_fair_coin():
+    # both gammas underflow to 0, whose ratio is NaN; Beta(a, a) tends to a coin as a -> 0
+    rng = child_rng(57, 0)
+    draws = [sample_lambda(1e-300, rng) for _ in range(200)]
+    assert set(draws) == {0.0, 1.0}
+
+
 def test_lambda_in_unit_interval_and_reproducible():
     d1 = [sample_lambda(0.5, child_rng(9, 0)) for _ in range(50)]
     d2 = [sample_lambda(0.5, child_rng(9, 0)) for _ in range(50)]

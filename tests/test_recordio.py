@@ -58,6 +58,17 @@ def test_records_header(tmp_path, records):
     assert header == b"NCMREC1 8 8 2 3"
 
 
+def test_records_writer_rejects_empty_shapes(tmp_path):
+    # a count-0 header is a file read_records accepts but no run can use
+    path = tmp_path / "empty.records"
+    for images, labels in ((np.zeros((0, 4, 4)), np.zeros((0, 2))),
+                           (np.zeros((2, 0, 4)), np.eye(2)),
+                           (np.zeros((2, 4, 4)), np.zeros((2, 0)))):
+        with pytest.raises(ValueError, match="no records to write"):
+            write_records(path, images, labels)
+    assert not path.exists()
+
+
 def test_records_reject_garbage(tmp_path):
     path = tmp_path / "bad.records"
     path.write_bytes(b"WRONG 1 2 3 4\n")
@@ -154,6 +165,25 @@ def test_provenance_rejects_partly_given_rect(tmp_path, records):
     path.write_text("\n".join(lines[:2] + ["\t".join(fields)]) + "\n", encoding="ascii")
     with pytest.raises(ValueError, match="partly given rect"):
         read_provenance(path)
+
+
+@pytest.mark.parametrize("edit", ["swapped", "non-integer", "skipped"])
+def test_provenance_reader_rejects_an_idx_off_its_position(tmp_path, records, edit):
+    # report pairs image i with provenance i, so a line out of place drew
+    # another record's mask tile and comment
+    path = tmp_path / "batch.prov"
+    write_provenance(path, records[2])
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    if edit == "swapped":
+        lines[0], lines[1] = lines[1], lines[0]
+    elif edit == "non-integer":
+        lines[0] = "x" + lines[0][1:]
+    else:
+        lines[2] = "3" + lines[2][1:]  # no line holds idx 2
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="idx .* on the line of record") as excinfo:
+        read_provenance(path)
+    assert "in provenance line" in str(excinfo.value)
 
 
 def _parses_or_value_error(reader, path):

@@ -96,6 +96,8 @@ def test_ancestral_rejects_nondecreasing_steps(sched):
         step_ancestral(x, x, 5, 5, sched, x)
     with pytest.raises(ValueError):
         step_ancestral(x, x, 5, 9, sched, x)
+    with pytest.raises(ValueError, match="exceeds schedule length 1000"):
+        step_ancestral(x, x, 1001, 5, sched, x)
 
 
 def test_ancestral_step_noise_must_fit_the_step(sched):
@@ -136,6 +138,8 @@ def test_dpm_rejects_nonmonotone_triples(sched):
         step_dpm_pp_2m(x, x, None, (None, 5, 5), sched)
     with pytest.raises(ValueError):
         step_dpm_pp_2m(x, x, x, (4, 5, 3), sched)
+    with pytest.raises(ValueError, match="exceeds schedule length 1000"):
+        step_dpm_pp_2m(x, x, None, (None, 1001, 5), sched)
 
 
 def test_dpm_rejects_nonfinite_data_predictions(sched):
@@ -821,6 +825,22 @@ def test_noisecutmix_batch_rejects_non_binary_mask(sched, bump_models):
     as_uint8 = sample_noisecutmix_batch(0, 1, mask, cfg, sched, bump_models, 3, 2)
     for same in (mask.astype(bool), mask.astype(np.float64)):
         assert np.array_equal(sample_noisecutmix_batch(0, 1, same, cfg, sched, bump_models, 3, 2), as_uint8)
+
+
+def test_noisecutmix_batch_rejects_a_mask_of_another_shape(sched, bump_models):
+    cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=5, guidance_scale=7.5)
+    for shape in ((8, 4), (2, 8, 8), (8,)):
+        with pytest.raises(ValueError, match=r"^mask must have shape \(8, 8\)$"):
+            sample_noisecutmix_batch(0, 1, np.ones(shape), cfg, sched, bump_models, 3, 2)
+
+
+def test_record_streams_draw_one_row_per_record():
+    # zip would stop at the last stream and leave the draw's other rows unwritten
+    streams = _RecordStreams([4, 8])
+    with pytest.raises(ValueError, match="draw of 3 rows from 2 record streams"):
+        streams.standard_normal((3, 4))
+    with pytest.raises(ValueError, match="draw of 1 rows from 2 record streams"):
+        streams.standard_normal((1, 4), out=np.empty((1, 4)))
 
 
 def test_child_streams_are_independent():

@@ -59,6 +59,8 @@ def test_schedule_invariant_validation():
         Schedule(num_steps=2, alpha_bar=np.array([1.0, 0.6, 0.5]))  # tail too large
     with pytest.raises(ValueError):
         Schedule(num_steps=2, alpha_bar=np.array([0.9, 0.5, 0.01]))  # abar_0 != 1
+    with pytest.raises(ValueError, match="length T\\+1=4"):
+        Schedule(num_steps=3, alpha_bar=np.array([1.0, 0.5, 0.01]))  # valid for T=2
     # no range check of its own: the end values and the strict decrease reject these
     for bad in (1.5, 0.0, -0.3, np.nan, np.inf):
         for ab in ([1.0, bad, 0.2, 0.01], [1.0, 0.5, bad, 0.01]):
