@@ -161,10 +161,14 @@ def test_a_pooled_run_leaves_the_caller_on_one_blas_thread(tmp_path, monkeypatch
     assert code == 0
     # set before the fork and left there: a restore would restart the threads here
     assert blas_threads() == 1
-    # a serial run leaves the count where its train and evaluate put it
-    classifier._openblas_threads()[1](2)
+
+
+def test_a_serial_run_leaves_the_caller_on_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    raw = {**TINY, "methods": ["original", "gen_random"]}
+    assert blas_threads() == 2
     code, _, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
     assert code == 0
+    # left where its train and evaluate put it, as a pooled run leaves it
     assert blas_threads() == 1
 
 
