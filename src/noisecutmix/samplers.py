@@ -14,16 +14,14 @@ provenance, alone or in any batch.
 
 Threads live only inside a run_reverse call, and neither changes a bit
 (see run_reverse). DPM-Solver++(2M) runs a batch larger than one row
-block as blocks on one thread per usable CPU. The ancestral path on
-large batches starts one worker that only draws, overlapping the steps'
-noise draws with their arithmetic.
+block as blocks on one thread per usable CPU. Every ancestral call
+starts one worker that only draws, overlapping the steps' noise draws
+with their arithmetic.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -46,13 +44,6 @@ SAMPLER_KINDS = (ANCESTRAL, DPM_PP_2M)
 _MASK_STREAM = 0
 _TRAJ_STREAM = 1
 
-# The ancestral loop hands its noise draws to a worker thread only when a
-# draw has at least this many values. Below it, the per-step handoff and
-# the contention for the interpreter lock cost more than the overlap saves.
-# Per-record streams on a 2-vCPU x86_64 VM: 40 guided 16x16 records over
-# 25 steps took 18 ms serially against 21 ms overlapped; 512 8x8 records
-# over 100 steps took 109 ms against 103 ms.
-_OVERLAP_MIN_VALUES = 1 << 15
 # The worker may draw this many bytes of noise ahead of the step loop, in
 # a ring of at least two buffers and never more than the call draws. With
 # two, the threads wait on each other every step, and where the host gives
@@ -323,64 +314,29 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
 
 def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, models, rng, n):
     """The reverse-process core: n terminal images (n, H, W) following
-    guided_eps_fn(class_a, class_b, keep_a) from step T down to 0; rng
-    draws the initial noise and then each ancestral step's noise, in
-    step order, and nothing for the terminal step.
+    guided_eps_fn(class_a, class_b, keep_a) from step T down to 0.
 
     class_a and class_b are class ids or (n,) arrays of them, keep_a None,
     one (H, W) mask or (n, H, W) masks; any other shape raises ValueError.
 
-    DPM-Solver++(2M) draws nothing after the initial noise, so each
-    record's trajectory is then independent of the others'. It splits
-    the rows into near-equal blocks of at most _BLOCK_VALUES array values
-    and runs each block through every step to t=0 on its rows of x and
-    three workspace arrays; the block then writes its rows of x. x, the
-    noise estimate and the previous data prediction rotate through the
-    rows and the first two arrays (the data prediction overwrites the
-    estimate, each later update the previous prediction). The third
-    holds a guided step's mixture estimate until the combine has read
-    it, and then the update's temporary. So no step allocates an array
-    of the block's size: both its estimate and its update hold the
-    block's four arrays, and the call's peak is x plus one workspace per
-    thread. (The step's finiteness scan makes one bool array of the
-    block's shape, an eighth of its bytes; and with per-record class ids,
-    as generate_batch passes, predict_noise builds two arrays of
-    per-record constants per step.) The blocks run on min(blocks,
-    _block_threads or usable CPUs) threads scoped to the call, as numpy's
-    ufuncs release the interpreter lock, or on the calling thread alone
-    when that is one, which starts nothing and imports nothing. There is
-    one workspace per thread, all allocated on the calling thread before
-    any block starts, and each block takes a free one from that list and
-    gives it back when it ends: glibc keeps what a thread
-    frees in that thread's malloc arena after the call, which raised the
-    sample_batch workload's peak RSS when the block threads made their
-    own arrays (see README). Every row sees the same ufuncs in the same
-    order whatever its block, elementwise and per-record (H, W)
-    reductions alone, so the bits do not depend on the blocking. If
-    blocks raise, the first block's error propagates once the running
-    blocks end, and the blocks not started are cancelled; where several
-    blocks fail differently, that can be another error than one block of
-    all rows would raise first.
+    rng draws the initial noise on the calling thread. On the ancestral
+    path it then draws each step's noise, in step order and nothing for
+    the terminal step, on one worker thread scoped to the call, which
+    draws ahead into a ring of buffers while this thread steps.
+    DPM-Solver++(2M) draws nothing after the initial noise.
 
-    The ancestral path allocates its (n, H, W) working arrays once and
-    every step writes into them: x and the noise estimate, the all-class
-    mixture estimate when guiding, and noise buffers, never more than
-    the call draws. A step's estimate holds x, the estimate, the
-    mixture estimate when guiding and the buffers; its update puts the
-    data estimate and then the scaled noise into the estimate's array,
-    read first, so no step allocates an array of x's size. When x has at
-    least _OVERLAP_MIN_VALUES values, one worker thread scoped to this
-    call does nothing but rng.standard_normal: it fills the next steps'
-    buffers, a ring of at least two and up to _DRAW_AHEAD_BYTES, while
-    this thread runs the current step's prediction and update. The draws
-    never depend on x, so they can run ahead; they come in a serial
-    loop's order, and each step runs the same ufuncs in the same order,
-    so the bits are a serial loop's, with or without the worker. If a
-    step raises, the worker finishes the draws already queued and is
-    joined before the error propagates. Without the worker, each step's
-    noise is drawn into one buffer just before the step. A non-finite
-    terminal batch raises NumericalDivergence, as a non-finite step
-    result does on the DPM-Solver++(2M) path.
+    The images are bit-equal to a serial loop's over the whole batch:
+    the draws come in that loop's order, never depending on x, and every
+    row sees the same ufuncs in the same order, whatever the DPM row
+    blocks and threads. README's "Generation" section gives the
+    mechanism and the memory each path holds.
+
+    A non-finite terminal batch raises NumericalDivergence, as a
+    non-finite step result does on the DPM-Solver++(2M) path. An error
+    raised in a step propagates once every thread the call started has
+    ended. If DPM row blocks fail differently, the first block's error
+    propagates, which can be another error than one block of all rows
+    would raise first.
     """
     family = class_family(models)
     x = rng.standard_normal((n,) + family.means.shape[1:])
@@ -399,16 +355,14 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
         eps = np.empty_like(x)
         work = np.empty_like(x) if cfg.guidance_scale != 1.0 else None  # the mixture estimate
         draws = len(ts) - 2  # one per step but the terminal one
-        overlap = x.size >= _OVERLAP_MIN_VALUES
-        depth = max(2, _DRAW_AHEAD_BYTES // x.nbytes) if overlap else 1
+        depth = max(2, _DRAW_AHEAD_BYTES // max(1, x.nbytes))  # an empty batch draws 0 bytes
         noise = [np.empty_like(x) for _ in range(min(depth, draws))]  # one buffer per draw at most
-        with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as worker:
+        with ThreadPoolExecutor(max_workers=1) as worker:
             def draw(k):
-                """Step k's noise as a call: the worker's result, or the draw itself."""
+                """Step k's noise as a call that waits for the worker's draw."""
                 if k >= draws:
                     return lambda: None
-                call = functools.partial(rng.standard_normal, x.shape, out=noise[k % depth])
-                return worker.submit(call).result if overlap else call
+                return worker.submit(rng.standard_normal, x.shape, out=noise[k % depth]).result
 
             # step k + depth - 1 reuses step k - 1's buffer, so it is queued once step k - 1 ran
             pending = collections.deque(draw(j) for j in range(depth - 1))

@@ -141,9 +141,9 @@ class _StopDrawing(Exception):
 
 def test_sample_batchs_ancestral_call_draws_ahead_into_a_bounded_ring(tmp_path, monkeypatch):
     # the workload's 1000-step ancestral call is the benchmark's only run of the draw-ahead
-    # ring: its draws are large enough to go to the worker thread, into at least two and at
-    # most _DRAW_AHEAD_BYTES of buffers. The first 40 step draws cycle through a ring of up
-    # to 40 buffers; the 41st stops the call.
+    # ring: its step draws go to the worker thread, into at least two and at most
+    # _DRAW_AHEAD_BYTES of buffers. The first 40 step draws cycle through a ring of up to 40
+    # buffers; the 41st stops the call.
     samplers = PKG["samplers"]
     caller, draws = threading.get_ident(), []
     real_child_rng = samplers.child_rng
@@ -165,7 +165,6 @@ def test_sample_batchs_ancestral_call_draws_ahead_into_a_bounded_ring(tmp_path, 
     with pytest.raises(_StopDrawing):
         workload.run(tmp_path / "out")
     ring = {(data, nbytes) for _, data, nbytes in draws}
-    assert min(nbytes for _, nbytes in ring) // 8 >= samplers._OVERLAP_MIN_VALUES
     assert len(draws) > 40 and caller not in {thread for thread, _, _ in draws}
     assert len(ring) >= 2
     assert sum(nbytes for _, nbytes in ring) <= samplers._DRAW_AHEAD_BYTES

@@ -462,12 +462,11 @@ def _generator_states(rng):
 
 @pytest.mark.parametrize("steps", [1, 2, 1000])
 @pytest.mark.parametrize("streams", ["generator", "records"])
-@pytest.mark.parametrize("ring", [0, 2, 3], ids=["caller", "worker-ring2", "worker-ring3"])
+@pytest.mark.parametrize("ring", [2, 3], ids=["worker-ring2", "worker-ring3"])
 def test_ancestral_run_matches_serial_draw_loop(sched, bump_models, steps, streams, ring, monkeypatch):
     # bit-equal images and the same generator states after the call, so the
-    # draws come in the serial order, with or without the worker and its
-    # ring of noise buffers, and the terminal step draws none
-    monkeypatch.setattr(samplers, "_OVERLAP_MIN_VALUES", 0 if ring else 1 << 62)
+    # worker's draws into its ring of noise buffers come in the serial order,
+    # and the terminal step draws none
     monkeypatch.setattr(samplers, "_DRAW_AHEAD_BYTES", ring * 3 * 8 * 8 * 8)  # ring draws of (3, 8, 8)
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=steps, guidance_scale=7.5)
     if streams == "generator":
@@ -497,7 +496,7 @@ def test_ancestral_call_holds_x_eps_and_its_ring_only(sched, bump_models, steps,
     # the ring holds one buffer per draw up to its cap, and no step allocates a
     # batch-sized temporary: at its peak the call holds x, the estimate, the mixture
     # estimate when guiding and the ring, within half a batch array
-    n = 2 * samplers._OVERLAP_MIN_VALUES // 64  # 8x8 records whose draws overlap
+    n = 1024  # 8x8 records, 512 KiB per batch array
     nbytes = n * 64 * 8
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=steps, guidance_scale=guidance)
     ring = min(steps - 1, max(2, samplers._DRAW_AHEAD_BYTES // nbytes))
@@ -525,7 +524,7 @@ class _ThreadRecordingRng:
 
 def test_ancestral_worker_is_joined_on_success_and_on_error(sched, bump_models):
     cfg = SamplerConfig(kind="ancestral", num_inference_steps=20, guidance_scale=7.5)
-    n = samplers._OVERLAP_MIN_VALUES // 64  # the smallest 8x8 batch whose draws overlap
+    n = 64
     caller, before = threading.get_ident(), threading.active_count()
     rng = _ThreadRecordingRng(child_rng(1, 1))
     run_reverse(0, None, None, cfg, sched, bump_models, rng, n)
@@ -541,9 +540,35 @@ def test_ancestral_worker_is_joined_on_success_and_on_error(sched, bump_models):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("kind, n", [("dpm_solver_pp_2m", 4), ("dpm_solver_pp_2m", 1024), ("ancestral", 511)])
+@pytest.mark.parametrize("entry", ["one class", "2-D mask"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_small_ancestral_calls_draw_on_the_worker(sched, bump_models, n, entry, monkeypatch):
+    # however small the batch, even an empty one, the caller draws the initial noise and
+    # one other thread every step's noise, and that thread has ended when the call returns
+    rngs = []
+
+    def recording_child_rng(*args):
+        rngs.append(_ThreadRecordingRng(child_rng(*args)))
+        return rngs[-1]
+
+    monkeypatch.setattr(samplers, "child_rng", recording_child_rng)
+    cfg = SamplerConfig(kind="ancestral", num_inference_steps=10, guidance_scale=7.5)
+    caller, before = threading.get_ident(), threading.active_count()
+    if entry == "one class":
+        images = sample_single_batch(0, cfg, sched, bump_models, 5, n)
+    else:
+        mask = np.zeros((8, 8), dtype=np.uint8)
+        mask[2:7, :5] = 1
+        images = sample_noisecutmix_batch(0, 1, mask, cfg, sched, bump_models, 5, n)
+    assert images.shape == (n, 8, 8) and threading.active_count() == before
+    (rng,) = rngs
+    assert len(rng.threads) == 10 and rng.threads[0] == caller
+    assert len(set(rng.threads[1:])) == 1 and caller not in rng.threads[1:]
+
+
+@pytest.mark.parametrize("kind, n", [("dpm_solver_pp_2m", 0), ("dpm_solver_pp_2m", 4), ("dpm_solver_pp_2m", 1024)])
 def test_no_worker_for_dpm_or_small_draws(sched, bump_models, kind, n, monkeypatch):
-    # 511 8x8 records are one row short of _OVERLAP_MIN_VALUES values
+    # a DPM-Solver++(2M) call of one row block, an empty one too, starts no thread
     def no_executor(*args, **kwargs):
         raise AssertionError("an executor was started")
 
