@@ -79,9 +79,11 @@ class ExperimentConfig:
             kinds = _FIELD_TYPES.get(f.type)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-            # an int beyond the float range fails too, not only NaN and +-inf
-            if f.type == "float" and not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "float":
+                # an int beyond the float range fails too, not only NaN and +-inf
+                if not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                setattr(self, f.name, float(value))  # a JSON 1 is stored, and written, as 1.0
         # sample_lambda owns this check but runs only after config.json is written
         if not self.noisemix_alpha > 0.0:
             raise ConfigError("noisemix_alpha must be > 0")

@@ -201,20 +201,16 @@ def _run_unit(inputs: tuple, unit: tuple[str, int]):
     return run_method(method, cfg, trial_seed(cfg.master_seed, method, trial), test_set)
 
 
-# a forked worker's (stop event, shared inputs), set once by _start_worker;
-# the parent process never sets it
+# a forked worker's (stop event, shared inputs), set once by _start_worker, never in the parent
 _worker_state: tuple | None = None
 
 
 def _start_worker(stop, *inputs) -> None:
+    """A forked worker's initializer; as a multiprocessing child it counts one CPU."""
     import signal
-
-    from . import samplers
 
     global _worker_state
     _worker_state = (stop, inputs)
-    # the pool holds every CPU already, so the sampler's row blocks run on this thread
-    samplers._block_threads = 1
     # the parent owns an interrupt: it stops the pool and waits for the running units
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -245,10 +241,10 @@ def _work_estimate(cfg: ExperimentConfig) -> int:
 def _unit_results(inputs: tuple, units: list[tuple[str, int]]):
     """_run_unit's results for units, in unit order, as an iterator: from a
     pool of forked workers, one per usable CPU, or computed here one by one
-    when fork is missing, one CPU or one unit would do, or the run is too
-    small to pay for a pool. No worker outlives the block: on an exception,
-    the units not yet started are cancelled or skipped, and the running
-    ones are waited for."""
+    when fork is missing, one CPU (a multiprocessing child counts one) or one
+    unit would do, or the run is too small to pay for a pool. No worker
+    outlives the block: on an exception, the units not yet started are
+    cancelled or skipped, and the running ones are waited for."""
     workers = min(_usable_cpus(), len(units))
     if workers < 2 or not hasattr(os, "fork") or _work_estimate(inputs[0]) < _POOL_MIN_WORK:
         yield map(partial(_run_unit, inputs), units)

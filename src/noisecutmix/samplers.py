@@ -14,9 +14,9 @@ provenance, alone or in any batch.
 
 Threads live only inside a run_reverse call, and neither changes a bit
 (see run_reverse). DPM-Solver++(2M) runs a batch larger than one row
-block as blocks on one thread per usable CPU. Every ancestral call
-starts one worker that only draws, overlapping the steps' noise draws
-with their arithmetic.
+block as blocks on one thread per usable CPU (_usable_cpus: one in a
+multiprocessing child). Every ancestral call starts one worker that
+only draws, overlapping the steps' noise draws with their arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,14 @@ _DRAW_AHEAD_BYTES = 5 << 20
 # lost to one (795 against 536 ms): the per-step calls contend for the
 # interpreter lock.
 _BLOCK_VALUES = 1 << 16
-# Threads a call with several blocks runs them on: None for one per usable
-# CPU. harness._start_worker sets 1 in each forked experiment worker, whose
-# pool already holds every CPU.
-_block_threads: int | None = None
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The CPUs this process counts, for the experiment pool and the DPM row blocks: one
+    in a multiprocessing child, whose parent's pool shares them, else its affinity set."""
+    mp = sys.modules.get("multiprocessing")  # None: never imported, so no child of it
+    if mp is not None and mp.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -319,11 +320,11 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
     class_a and class_b are class ids or (n,) arrays of them, keep_a None,
     one (H, W) mask or (n, H, W) masks; any other shape raises ValueError.
 
-    rng draws the initial noise on the calling thread. On the ancestral
-    path it then draws each step's noise, in step order and nothing for
-    the terminal step, on one worker thread scoped to the call, which
-    draws ahead into a ring of buffers while this thread steps.
-    DPM-Solver++(2M) draws nothing after the initial noise.
+    rng draws the initial noise on the calling thread. On the ancestral path
+    it then draws each step's noise, in step order and nothing for the
+    terminal step, on one worker thread scoped to the call, which draws ahead
+    into a ring of buffers while this thread steps. DPM-Solver++(2M) draws no
+    more, and runs its row blocks on min(blocks, _usable_cpus()) threads.
 
     The images are bit-equal to a serial loop's over the whole batch:
     the draws come in that loop's order, never depending on x, and every
@@ -397,7 +398,7 @@ def run_reverse(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule, m
 
     blocks = _row_blocks(n, grid)
     bounds = [n * i // blocks for i in range(blocks + 1)]
-    threads = min(blocks, _block_threads or _usable_cpus())
+    threads = min(blocks, _usable_cpus())
     # one workspace per thread, allocated here: what a block thread frees stays in its malloc
     # arena; the third array, the mixture estimate's, stays untouched without guidance
     spaces = [np.empty((3, -(-n // blocks)) + grid) for _ in range(threads)]

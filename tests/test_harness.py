@@ -410,6 +410,21 @@ def test_experiment_byte_identical_rerun(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_an_integer_for_a_float_field_writes_the_floats_bytes(tmp_path):
+    # stored as given, a JSON 1 reached config.json as 1 and ended every .prov line
+    # as alpha 1, and a guidance of 7 did the same to the guidance column
+    ints = dict(noisemix_alpha=1, guidance_scale=7, bump_sigma=2, augment_ratio=1, cutmix_alpha=1)
+    cfg = tiny_config(methods=["gen_random", "noisecutmix"], trials=1, **ints)
+    floats = tiny_config(methods=["gen_random", "noisecutmix"], trials=1,
+                         **{k: float(v) for k, v in ints.items()})
+    assert all(type(getattr(cfg, f.name)) is float for f in dataclasses.fields(cfg) if f.type == "float")
+    run_experiment(cfg, tmp_path / "ints")
+    run_experiment(floats, tmp_path / "floats")
+    written = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())} for d in ("ints", "floats")]
+    assert written[0] == written[1]
+    assert "noisecutmix_t0.prov" in written[0]
+
+
 def test_single_trial_std_convention(tmp_path):
     cfg = tiny_config(methods=["original"], trials=1)
     table = run_experiment(cfg, tmp_path / "one")

@@ -94,9 +94,10 @@ def test_pooled_run_writes_the_serial_runs_bytes(tmp_path, monkeypatch, sampler)
 
 def test_pooled_workers_run_their_sampler_blocks_on_their_own_thread(tmp_path, monkeypatch):
     # each unit's 12 generated 8x8 records run as 3 DPM blocks of 4 rows; the
-    # serial run gives them 2 threads, a worker its own thread alone
+    # serial run counts 2 CPUs and gives them 2 threads, a worker, a multiprocessing
+    # child, counts one whatever its inherited affinity set: its own thread alone
     monkeypatch.setattr(samplers, "_BLOCK_VALUES", 5 * 64)
-    monkeypatch.setattr(samplers, "_block_threads", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     blocks = tmp_path / "blocks"
     blocks.mkdir()
     real = samplers.guided_eps_fn
@@ -132,7 +133,73 @@ def test_pooled_workers_run_their_sampler_blocks_on_their_own_thread(tmp_path, m
     pooled_blocks = [p.name.split(".") for p in blocks.iterdir()]
     assert len(pooled_blocks) == 12 and {rows for _, _, rows in pooled_blocks} == {"4"}
     assert str(os.getpid()) not in {pid for pid, _, _ in pooled_blocks}
-    assert samplers._block_threads == 2  # only the workers set their own
+
+
+def in_fork_child(target):
+    """(exit code, pid) of a fork-context multiprocessing child that runs target();
+    a child still running after a minute is killed and reads as a failure."""
+    child = multiprocessing.get_context("fork").Process(target=target)
+    child.start()
+    child.join(60)
+    if child.exitcode is None:
+        child.kill()
+        child.join(10)
+        return None, child.pid
+    return child.exitcode, child.pid
+
+
+def test_a_multiprocessing_child_runs_its_dpm_blocks_on_its_own_thread(tmp_path, monkeypatch):
+    # 12 records of 8x8 in 3 blocks of 4 rows: this process counts 2 CPUs and runs
+    # the blocks on 2 threads; a forked child counts one, so it starts no thread
+    monkeypatch.setattr(samplers, "_BLOCK_VALUES", 4 * 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = ExperimentConfig(**TINY)
+    models, sched = cfg.dataset(0, 0)[0], cfg.schedule()
+    sampler_cfg = samplers.SamplerConfig("dpm_solver_pp_2m", 5, 7.5)
+
+    def call():
+        return samplers.run_reverse(1, None, None, sampler_cfg, sched, models, samplers.child_rng(7, 1), 12)
+
+    pools, real_pool = [], concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda threads: pools.append(threads) or real_pool(threads))
+    here = call()
+    assert pools == [2]
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a sampler block thread started in a multiprocessing child")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    out = tmp_path / "child.bytes"
+    code, _ = in_fork_child(lambda: out.write_bytes(call().tobytes()))
+    assert code == 0
+    assert out.read_bytes() == here.tobytes()
+
+
+def test_a_run_inside_a_multiprocessing_child_runs_its_units_there(tmp_path, monkeypatch):
+    # the pool forced on, this process would fork 2 workers; a child counts one CPU,
+    # so it runs every unit itself and forks no nested pool
+    raw = {**TINY, "methods": ["original", "gen_random", "noisecutmix"], "trials": 2}
+    code, serial, _ = experiment(tmp_path, monkeypatch, "serial", raw, pooled=False)
+    assert code == 0
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", samplers._usable_cpus)  # the rule, not experiment's 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert harness._usable_cpus() == 2
+    log_units(monkeypatch, tmp_path / "child_log")
+
+    def run():
+        def no_fork():
+            raise AssertionError("a multiprocessing child forked a nested pool")
+
+        os.fork = no_fork  # in the child only, which exits without restoring it
+        harness.run_experiment(ExperimentConfig(**raw), tmp_path / "child")
+
+    code, pid = in_fork_child(run)
+    assert code == 0
+    started = {p.stem: int(p.suffix[1:]) for p in (tmp_path / "child_log").iterdir()}
+    assert len(started) == 6 and set(started.values()) == {pid}
+    assert files(tmp_path / "child") == files(serial)
 
 
 def test_pooled_workers_inherit_one_blas_thread_and_start_none(tmp_path, monkeypatch, blas_threads):
@@ -232,6 +299,22 @@ def test_importing_the_package_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_serial_run_and_a_one_block_call_load_no_process_pool(tmp_path):
+    # both count CPUs, and telling a multiprocessing child imports nothing
+    probe = ("import json, sys\n"
+             "from noisecutmix import ExperimentConfig, run_experiment, samplers\n"
+             "cfg = ExperimentConfig(**json.loads(sys.argv[1]))\n"
+             "run_experiment(cfg, sys.argv[2])\n"
+             "samplers.sample_single_batch(0, cfg.sampler_config(), cfg.schedule(), cfg.dataset(0, 0)[0], 1, 4)\n"
+             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    raw = {**TINY, "methods": ["original", "gen_random"], "trials": 1}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(raw), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "gen_random_t0.records").exists()
 
 
 # a pooled run whose units log their worker's pid and take SLOW_UNIT_S each

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -585,10 +586,10 @@ BLOCK_ROWS = 4
 
 
 def _force_blocks(monkeypatch, rows, threads):
-    """DPM blocks of rows records of 8x8 on threads threads; logs each block's row count,
-    the length of its first estimate's x."""
+    """DPM blocks of rows records of 8x8 on threads threads, through an affinity set of
+    threads CPUs; logs each block's row count, the length of its first estimate's x."""
     monkeypatch.setattr(samplers, "_BLOCK_VALUES", rows * 64)
-    monkeypatch.setattr(samplers, "_block_threads", threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
     block_rows = []
     real = samplers.guided_eps_fn
 
