@@ -38,7 +38,7 @@ class AugmentPolicy:
 def _mix(images_a, labels_a, images_b, labels_b, lam, masks=None):
     """Row i mixes (a_i, b_i) into new arrays.
 
-    With masks (CutMix), pixels come from a_i where masks[i] is 1 and the
+    With masks (CutMix), pixels come from a_i where masks[i] is set and the
     label weight of a_i is the realized (post-clipping) area ratio, not
     lam, so the label always matches the pixels actually pasted. Without
     (MixUp), the image and label are the lam[i] convex blend. A row whose

@@ -109,10 +109,10 @@ def make_bump_dataset(
 
 @dataclass(frozen=True)
 class ClassFamily:
-    """The K class models stacked: class c is row c of every array."""
+    """The K class models stacked: class c is row c of every array, which may carry a record axis."""
 
-    means: np.ndarray      # (K, H, W)
-    variances: np.ndarray  # (K, H, W)
+    means: np.ndarray      # (K, H, W), or (K, N, H, W) with record i at index i
+    variances: np.ndarray  # the same shape
 
 
 def class_family(models: ClassFamily | list[ClassModel]) -> ClassFamily:
@@ -131,24 +131,22 @@ def _check_class_ids(ids: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"unknown class id {unknown.flat[0]}")
 
 
-def spliced_family(models: ClassFamily | list[ClassModel], class_a, class_b, keep_a):
-    """(family, cond) for predict_noise: class_a's model where keep_a is set, class_b's elsewhere.
+def spliced_family(models: ClassFamily | list[ClassModel], class_a, class_b, keep_a) -> ClassFamily:
+    """One spliced class: class_a's model where keep_a is set, class_b's elsewhere.
 
     class_a and class_b are class ids or (N,) arrays of them, keep_a one
-    (H, W) or (N, H, W) bool mask. Scalar ids with one mask give one
-    class and cond 0; otherwise record i gets class i, cond arange(N).
-    The models are per cell, so the spliced estimate is, bit for bit,
-    class_a's where keep_a is set and class_b's elsewhere.
+    (H, W) or (N, H, W) bool mask. Scalar ids with one mask give a (1, H, W)
+    model, else (1, N, H, W) with record i at index i; predict_noise reads
+    it with cond 0. The models are per cell, so the spliced estimate is,
+    bit for bit, class_a's where keep_a is set and class_b's elsewhere.
     """
     family = class_family(models)
     ids_a, ids_b = np.asarray(class_a), np.asarray(class_b)
-    _check_class_ids(ids_a, len(family.means))
-    _check_class_ids(ids_b, len(family.means))
+    for ids in (ids_a, ids_b):
+        _check_class_ids(ids, len(family.means))
     means = np.where(keep_a, family.means[ids_a], family.means[ids_b])
     variances = np.where(keep_a, family.variances[ids_a], family.variances[ids_b])
-    if means.ndim == 2:
-        return ClassFamily(means[None], variances[None]), 0
-    return ClassFamily(means, variances), np.arange(len(means))
+    return ClassFamily(means[None], variances[None])
 
 
 def _scratch(arr: np.ndarray | None, like: np.ndarray, *taken) -> np.ndarray:
@@ -178,15 +176,14 @@ def predict_noise(
     entry of x_t, so of shape x_t.shape[:-2]), or None for the
     unconditional (all-class mixture) branch. x_t may carry leading
     batch axes over the (H, W) grid; the result has the same shape and
-    goes into out if given (not x_t).
-    Each call builds its per-class constants once, stacked (K, H, W): the
-    means scaled by sqrt(abar_t), the variances v_t and, for the mixture,
-    log v_t + log 2 pi. An id array that is arange(K) on a K-class family
-    (a per-record spliced one) reads those constants as they are, with
-    no gather. The mixture branch keeps its per-class terms in work if
-    given (an array of x_t's shape, not x_t or out; the conditional
-    branch leaves it untouched), else in one array it allocates per
-    call, and the K log-densities in one (K,) + batch-shape array.
+    goes into out if given (not x_t). A model with a record axis
+    (spliced_family) takes a class id, its records matching x_t's.
+    Each call builds its per-class constants once, stacked like the
+    family: the means scaled by sqrt(abar_t), the variances v_t and, for
+    the mixture, log v_t + log 2 pi. The mixture branch keeps its
+    per-class terms in work if given (an array of x_t's shape, not x_t or
+    out; the conditional branch leaves it untouched), else in one array
+    it allocates per call, and the K log-densities in one (K,) + batch array.
     """
     family = class_family(models)
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -201,15 +198,13 @@ def predict_noise(
     v = ab * family.variances + (1.0 - ab)
     mu = sqrt_ab * family.means
     if cond is not None:
-        ids = np.asarray(cond)
-        if ids.ndim and ids.shape != x_t.shape[:-2]:
-            # numpy would broadcast a 1-id array over every record
-            raise ValueError(f"class-id array of shape {ids.shape} must match x's records {x_t.shape[:-2]}")
+        # a 0-d array index would copy the class's constants; its scalar, [()], takes a view
+        ids = np.asarray(cond)[()]
+        records = ids.shape + family.means.shape[1:-2]
+        if records not in ((), x_t.shape[:-2]):
+            # numpy would broadcast one id, or a one-record model, over every record
+            raise ValueError(f"id and model records {records} must match x's records {x_t.shape[:-2]}")
         _check_class_ids(ids, num_classes)
-        # one row per record for an id array, one (H, W) grid for an int id; record i
-        # of a row-aligned family (a per-record spliced one) is class i, gathered by a view
-        if ids.ndim and len(ids) == num_classes and np.array_equal(ids, np.arange(num_classes)):
-            ids = slice(None)
         eps = np.subtract(x_t, mu[ids], out=out)
         np.multiply(sqrt_1mab, eps, out=eps)
         return np.divide(eps, v[ids], out=eps)

@@ -66,7 +66,10 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list[ResultRow]
-    trials: int
+
+    @property
+    def trials(self) -> int:  # the first row's; parse_result_table checks that every row has it
+        return len(self.rows[0].accuracies) if self.rows else 0
 
 
 def generate_records(
@@ -137,10 +140,10 @@ def format_result_table(table: ResultTable) -> str:
 
 
 def parse_result_table(text: str) -> ResultTable:
-    """Parse and check a format_result_table text: every row holds a
-    method, at least one trial, mean and std; all rows hold the same
-    number of trials; the stored mean and std match the trials within
-    2e-6, the 6-decimal rounding of both sides. Raises ValueError."""
+    """Parse and check a format_result_table text: one row per method, at least
+    one; each holds a method, the first row's number of trials (at least one),
+    mean and std; the stored mean and std match the trials within 2e-6, the
+    6-decimal rounding of both sides. Raises ValueError."""
     rows = []
     for line in text.splitlines():
         if not line or line.startswith("#"):
@@ -154,7 +157,9 @@ def parse_result_table(text: str) -> ResultTable:
         if not (abs(float(cells[-2]) - row.mean) <= 2e-6 and abs(float(cells[-1]) - row.std) <= 2e-6):
             raise ValueError(f"stored aggregates for {row.method} do not match the trials")
         rows.append(row)
-    return ResultTable(rows=rows, trials=len(rows[0].accuracies) if rows else 0)
+    if not rows or len({r.method for r in rows}) < len(rows):
+        raise ValueError(f"results need one row per method, at least one: {[r.method for r in rows]}")
+    return ResultTable(rows=rows)
 
 
 def export_grid(images: np.ndarray, provs: list[Provenance], path: str | Path) -> None:
@@ -307,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ResultTable:
                 write_provenance(out / f"{stem}.prov", provs)
                 if i == 0:
                     export_grid(images[:8], provs[:8], out / f"{method}_montage.pgm")
-    table = ResultTable(rows=[ResultRow(m, a) for m, a in accs.items()], trials=cfg.trials)
+    table = ResultTable(rows=[ResultRow(m, a) for m, a in accs.items()])
     with open_atomic(out / "results.tsv") as f:
         f.write(format_result_table(table).encode("ascii"))
     return table

@@ -4,9 +4,9 @@ The mixing ratio lambda is Beta(alpha, alpha) distributed. A rectangle
 of size (W sqrt(1-lambda)) x (H sqrt(1-lambda)) is centered at a
 uniformly drawn point (none for lambda 1.0, which cuts nothing) and
 clipped to the grid; covered cells (center inside the rectangle) are
-zeroed. Because clipping can shrink the cut, the ratio actually used
-downstream, lambda_real, is always recomputed from the realized zero
-area.
+False in the keep-mask. Because clipping can shrink the cut, the ratio
+actually used downstream, lambda_real, is always recomputed from the
+realized kept area.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
 
 
 def mask_from_rect(width: int, height: int, rect) -> np.ndarray:
-    """Binary (..., H, W) masks for rectangles (..., 4) of (r_x, r_y, r_w, r_h):
-    0 where the cell center falls inside the clipped rectangle.
+    """Bool (..., H, W) keep-masks for rectangles (..., 4) of (r_x, r_y, r_w, r_h):
+    False where the cell center falls inside the clipped rectangle.
 
     One 4-tuple gives one (H, W) mask; an (N, 4) array gives N masks in one
     broadcast. fmax/fmin clip like Python's max(0.0, v) and min(W, v),
@@ -75,7 +75,7 @@ def mask_from_rect(width: int, height: int, rect) -> np.ndarray:
     rows = np.arange(height, dtype=np.float64) + 0.5
     in_x = (cols >= x1) & (cols <= x2)
     in_y = (rows >= y1) & (rows <= y2)
-    return (~(in_y[..., :, None] & in_x[..., None, :])).astype(np.uint8)
+    return ~(in_y[..., :, None] & in_x[..., None, :])
 
 
 def realized_lambda(masks: np.ndarray):

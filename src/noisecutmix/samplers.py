@@ -282,9 +282,9 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     None this is class_a's guided estimate; otherwise each cell takes
     class_a's where keep_a ((H, W) or (N, H, W) bool) is set and class_b's
     elsewhere. Guidance is affine cell by cell, so that is the guided
-    estimate of the spliced model (classmodels.spliced_family), built
-    here once: each step makes one conditional estimate and, unless the
-    guidance is 1, one all-class mixture estimate and one cfg_combine.
+    estimate of the spliced model (classmodels.spliced_family: one class,
+    cond 0), built here once: each step makes one conditional estimate
+    and, unless the guidance is 1, one mixture estimate and one cfg_combine.
 
     The returned estimate goes into out if given (not x), else into a
     new array. A guided step first computes the mixture estimate into
@@ -294,13 +294,13 @@ def guided_eps_fn(class_a, class_b, keep_a, cfg: SamplerConfig, sched: Schedule,
     estimates read only x, so the order changes no bit. With out and
     work given, a step holds x, out and work, and allocates nothing of
     x's size unless the condition is per record (an id array, or masks
-    per record): predict_noise then builds that step's per-record means
-    and variances.
+    per record): predict_noise then gathers, or builds, that step's
+    per-record means and variances.
     """
     scale = cfg.guidance_scale
     family = class_family(models)
     cond_family, cond = (
-        (family, class_a) if class_b is None else spliced_family(family, class_a, class_b, keep_a)
+        (family, class_a) if class_b is None else (spliced_family(family, class_a, class_b, keep_a), 0)
     )
 
     def eps_fn(x, t, out=None, work=None):
@@ -469,12 +469,11 @@ def generate_batch(
             rng = child_rng(s, _MASK_STREAM)
             lams.append(sample_lambda(alpha, rng))
             rects.append(sample_mask(w, h, lams[-1], rng))
-        masks = mask_from_rect(w, h, rects)
+        keep_a = mask_from_rect(w, h, rects)
         provs = [Provenance("noisecutmix", a, b, lam, float(lam_real), rect, s, **settings)
                  for a, b, lam, lam_real, rect, s
-                 in zip(class_a, class_b, lams, realized_lambda(masks), rects, seeds)]
+                 in zip(class_a, class_b, lams, realized_lambda(keep_a), rects, seeds)]
         labels = np.stack([mix_labels(p.class_a, p.class_b, p.lambda_real, k) for p in provs])
-        keep_a = masks.astype(bool)
         class_b = np.asarray(class_b)
     images = run_reverse(np.asarray(class_a), class_b, keep_a, cfg, sched, family,
                          _RecordStreams(seeds), len(seeds))

@@ -202,6 +202,18 @@ def test_predictor_class_id_array_matches_int_calls():
         assert np.array_equal(stacked, single)
 
 
+def test_row_aligned_class_ids_predict_each_records_class():
+    # an id array as long as the family is wide gathers per record like any other,
+    # arange(K) among them
+    sched = make_cosine_schedule(200)
+    models, _ = make_bump_dataset(4, 6, 6, 1.2, 0.3, seed=6, n_per_class=0)
+    batch = np.random.default_rng(11).standard_normal((4, 6, 6))
+    for ids in (np.arange(4), np.array([1, 0, 2, 3]), np.array([3, 3, 0, 1])):
+        for t in (1, 77, 200):
+            expected = np.stack([predict_noise(x, int(c), t, sched, models) for x, c in zip(batch, ids)])
+            assert np.array_equal(predict_noise(batch, ids, t, sched, models), expected)
+
+
 def test_class_family_predicts_like_its_model_list():
     sched = make_cosine_schedule(200)
     models, _ = make_bump_dataset(3, 7, 5, 1.2, 0.3, seed=5, n_per_class=0)
@@ -220,29 +232,18 @@ def test_spliced_family_predicts_each_cells_class():
     rng = np.random.default_rng(10)
     batch = rng.standard_normal((5, 6, 6))
     class_a, class_b = np.array([2, 0, 1, 2, 0]), np.array([0, 0, 2, 1, 1])
-    for a, b, keep, classes in ((2, 0, rng.random((6, 6)) < 0.5, 1),
-                                (class_a, class_b, rng.random((6, 6)) < 0.5, 5),
-                                (1, 2, rng.random((5, 6, 6)) < 0.5, 5),
-                                (class_a, class_b, rng.random((5, 6, 6)) < 0.5, 5)):
-        family, cond = spliced_family(models, a, b, keep)
-        assert family.means.shape == family.variances.shape == (classes, 6, 6)
-        assert np.array_equal(cond, 0 if classes == 1 else np.arange(5))
+    # one spliced class: (1, H, W) for a shared pair and mask, else a record axis
+    for a, b, keep, shape in ((2, 0, rng.random((6, 6)) < 0.5, (1, 6, 6)),
+                              (class_a, class_b, rng.random((6, 6)) < 0.5, (1, 5, 6, 6)),
+                              (1, 2, rng.random((5, 6, 6)) < 0.5, (1, 5, 6, 6)),
+                              (class_a, class_b, rng.random((5, 6, 6)) < 0.5, (1, 5, 6, 6))):
+        family = spliced_family(models, a, b, keep)
+        assert isinstance(family, ClassFamily)
+        assert family.means.shape == family.variances.shape == shape
         for t in (1, 77, 200):
             expected = np.where(keep, predict_noise(batch, a, t, sched, models),
                                 predict_noise(batch, b, t, sched, models))
-            assert np.array_equal(predict_noise(batch, cond, t, sched, family), expected)
-
-
-def test_row_aligned_class_ids_predict_each_records_class():
-    # arange(K) on a K-class family reads the family's rows as they are; any other
-    # id array of that length still gathers
-    sched = make_cosine_schedule(200)
-    models, _ = make_bump_dataset(4, 6, 6, 1.2, 0.3, seed=6, n_per_class=0)
-    batch = np.random.default_rng(11).standard_normal((4, 6, 6))
-    for ids in (np.arange(4), np.array([1, 0, 2, 3]), np.array([3, 3, 0, 1])):
-        for t in (1, 77, 200):
-            expected = np.stack([predict_noise(x, int(c), t, sched, models) for x, c in zip(batch, ids)])
-            assert np.array_equal(predict_noise(batch, ids, t, sched, models), expected)
+            assert np.array_equal(predict_noise(batch, 0, t, sched, family), expected)
 
 
 def test_spliced_family_rejects_unknown_class_ids():
@@ -295,6 +296,13 @@ def test_predictor_rejects_class_ids_of_another_length():
     for x, cond in ((batch, [1]), (batch, [1, 0, 2]), (batch, [[0], [1], [2], [0], [1]]), (batch[0], [1])):
         with pytest.raises(ValueError, match="must match x's records"):
             predict_noise(x, np.array(cond), 73, sched, models)
+    # nor is a one-record spliced model, and a five-record one needs five records
+    one = spliced_family(models, np.array([0]), np.array([1]), np.ones((6, 6), dtype=bool))
+    five = spliced_family(models, 0, 1, np.ones((5, 6, 6), dtype=bool))
+    for x, family, cond in ((batch, one, 0), (batch[0], five, 0), (batch[:4], five, 0),
+                            (batch, five, np.zeros(5, dtype=int))):
+        with pytest.raises(ValueError, match="must match x's records"):
+            predict_noise(x, cond, 73, sched, family)
     # a 0-d id array is one class for every record, as an int id is
     assert np.array_equal(predict_noise(batch, np.array(2), 73, sched, models),
                           predict_noise(batch, 2, 73, sched, models))

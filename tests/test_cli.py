@@ -247,6 +247,9 @@ def test_report_rejects_malformed_tables(tmp_path, capsys):
         good.replace("0.600000", "0.650000"),  # stored mean off
         good.replace("0.141421", "0.100000"),  # stored std off
         good.replace("0.141421", "nan"),
+        "",  # no header, no rows
+        good.splitlines(keepends=True)[0],  # a header and no rows
+        good + good.splitlines(keepends=True)[1],  # method a twice
     ]):
         run = tmp_path / f"r{i}"
         run.mkdir()

@@ -472,8 +472,8 @@ def test_result_table_format_round_trip():
 
     table = ResultTable(
         rows=[ResultRow("original", [0.5, 0.625]), ResultRow("noisecutmix", [0.75, 0.8125])],
-        trials=2,
     )
+    assert table.trials == 2
     parsed = parse_result_table(format_result_table(table))
     assert [r.method for r in parsed.rows] == ["original", "noisecutmix"]
     assert parsed.rows[1].accuracies == [0.75, 0.8125]

@@ -677,13 +677,13 @@ def test_the_spliced_family_is_built_once_per_block_from_its_rows(sched, bump_mo
     block_rows = _force_blocks(monkeypatch, BLOCK_ROWS, 2)
     spliced = _logged_results(monkeypatch, "spliced_family")
     _dpm_entry(entry, n, cfg, sched, bump_models)
-    classes = sorted(len(family.means) for family, _ in spliced)
+    shapes = sorted(family.means.shape for family in spliced)
     if entry in ("int class", "id array"):
-        assert classes == []
+        assert shapes == []
     elif entry == "2-D mask":  # one pair, one mask: one spliced class
-        assert classes == [1] * len(block_rows)
-    else:
-        assert classes == sorted(block_rows)
+        assert shapes == [(1, 8, 8)] * len(block_rows)
+    else:  # one spliced class with a record axis of the block's rows
+        assert shapes == sorted((1, rows, 8, 8) for rows in block_rows)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -724,20 +724,27 @@ def test_dpm_blocks_reuse_one_workspace_per_thread(sched, bump_models, threads, 
 
 
 @pytest.mark.parametrize("guidance", [1.0, 7.5])
-@pytest.mark.parametrize("class_b", [None, 1], ids=["one class", "2-D mask"])
-def test_dpm_steps_allocate_no_block_sized_array(sched, bump_models, class_b, guidance, monkeypatch):
-    # three blocks on one thread: at its peak the call holds x and the one workspace of
-    # three block arrays, within half a block array, so no step allocates one
+@pytest.mark.parametrize("entry", ["one class", "2-D mask", "id array", "(N, H, W) masks"])
+def test_dpm_steps_allocate_no_block_sized_array(sched, bump_models, entry, guidance, monkeypatch):
+    # three blocks on one thread: at its peak the call holds x, the one workspace of three
+    # block arrays and what a per-record condition holds of a block's size, within half a
+    # block array. An id array's gathered means, then variances, are one such array at a
+    # time; per-record masks hold the spliced model's means and variances, and a step's
+    # scaled means and marginal variances: four
     rows = 1024
     n = 3 * rows
     cfg = SamplerConfig(kind="dpm_solver_pp_2m", num_inference_steps=6, guidance_scale=guidance)
-    keep_a = None if class_b is None else np.arange(64).reshape(8, 8) % 3 == 0
+    class_a = np.arange(n) % 2 if entry == "id array" else 0
+    class_b = 1 if "mask" in entry else None
+    keep_a = {"2-D mask": np.arange(64).reshape(8, 8) % 3 == 0,
+              "(N, H, W) masks": child_rng(5, 0).random((n, 8, 8)) < 0.5}.get(entry)
     block_rows = _force_blocks(monkeypatch, rows, 1)
     block = rows * 64 * 8
-    working = 3 * block + 3 * block  # x, and the estimate, free and mixture arrays
+    held = {"id array": 1, "(N, H, W) masks": 4}.get(entry, 0)
+    working = 3 * block + 3 * block + held * block  # x, the estimate, free and mixture arrays
 
     def call():
-        run_reverse(0, class_b, keep_a, cfg, sched, bump_models, child_rng(6, 1), n)
+        run_reverse(class_a, class_b, keep_a, cfg, sched, bump_models, child_rng(6, 1), n)
 
     call()  # imports and first-call caches
     assert working <= _traced_peak(call) <= working + block // 2
